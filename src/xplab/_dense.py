@@ -3,14 +3,15 @@
 The sparse ops in :mod:`xplab.space` are the reference semantics; these
 column-wise kernels exist so estimators and batch experiments can evaluate
 thousands of vectors without per-vector Python overhead. Tests cross-check
-them against the sparse reference.
+them against the sparse reference. The coordinate search every estimator
+polishes its columns with lives here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .space import SpVector, WeightedSpace
+from .space import WeightedSpace
 
 
 def window_weights(space: WeightedSpace, idx: np.ndarray) -> np.ndarray:
@@ -41,16 +42,6 @@ def col_norm(X: np.ndarray, w: np.ndarray, p: float, mode: str) -> np.ndarray:
     raise ValueError(f"unknown norm mode {mode!r}")
 
 
-def cols_to_vectors(space: WeightedSpace, idx: np.ndarray, X: np.ndarray) -> list[SpVector]:
-    """Turn window columns back into sparse vectors."""
-    idx = np.asarray(idx, dtype=int)
-    out = []
-    for k in range(X.shape[1]):
-        col = X[:, k]
-        out.append(SpVector(space, {int(i): float(v) for i, v in zip(idx, col) if v != 0.0}))
-    return out
-
-
 def vectors_to_cols(vectors, idx: np.ndarray) -> np.ndarray:
     """Stack sparse vectors as dense columns over a window of 1-based indices."""
     idx = np.asarray(idx, dtype=int)
@@ -70,3 +61,36 @@ def union_window(vectors) -> np.ndarray:
     for v in vectors:
         s.update(v.entries)
     return np.array(sorted(s), dtype=int)
+
+
+def _coordinate_search(
+    objective, X: np.ndarray, h: np.ndarray, stop, rounds: int, better=np.greater
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column coordinate search of objective(X) -> per-column values.
+
+    Each round tries +h and -h on every coordinate and keeps a step wherever
+    ``better(new, old)`` holds; a column's step halves after a round without
+    gain, and the search ends once every step is below ``stop``. Columns are
+    independent, so results match a sequential per-column run. Maximizes by
+    default; pass ``better=np.less`` to minimize. X is not modified.
+    """
+    d, n = X.shape
+    X = X.copy()
+    f = objective(X)
+    h = h.copy()
+    for _ in range(rounds):
+        improved = np.zeros(n, dtype=bool)
+        for i in range(d):
+            for s in (1.0, -1.0):
+                Xc = X.copy()
+                Xc[i, :] += s * h
+                fc = objective(Xc)
+                gain = better(fc, f)
+                if np.any(gain):
+                    X[i, gain] = Xc[i, gain]
+                    f[gain] = fc[gain]
+                    improved |= gain
+        h[~improved] *= 0.5
+        if np.all(h < stop):
+            break
+    return X, f

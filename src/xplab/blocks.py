@@ -10,10 +10,10 @@ product; the Holder chain bounds what that functional can see.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .space import (
+    SLACK,
     SpVector,
     SupportSet,
     WeightedSpace,
@@ -36,9 +36,6 @@ __all__ = [
     "holder_bounds",
     "extremality_check",
 ]
-
-# Relative slack for inequality verdicts; float roundoff only.
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,8 @@ def make_block(
     space = vector.space
     core2 = norm_2w(restrict(vector, Eset))
     full2 = norm_2w(vector)
-    a_ok = core2 >= delta * full2 * (1.0 - _SLACK)
-    b_ok = c * core2 >= max_ratio(space, Eset) * (1.0 - _SLACK)
+    a_ok = core2 >= delta * full2 * (1.0 - SLACK)
+    b_ok = c * core2 >= max_ratio(space, Eset) * (1.0 - SLACK)
     if require:
         if not a_ok:
             raise ValueError(
@@ -207,9 +204,9 @@ def holder_bounds(b: Block | RosenthalBlock, x: SpVector) -> HolderBounds:
         c = b.c
     z2 = norm_2w(z)
     need = max_ratio(b.space, b.support) * norm_p(z)
-    admissible = c * z2 >= need * (1.0 - _SLACK)
-    ok2 = lhs2 <= rhs2 * (1.0 + _SLACK) + 1e-300
-    okp = lhsp <= c * rhsp * (1.0 + _SLACK) + 1e-300
+    admissible = c * z2 >= need * (1.0 - SLACK)
+    ok2 = lhs2 <= rhs2 * (1.0 + SLACK) + 1e-300
+    okp = lhsp <= c * rhsp * (1.0 + SLACK) + 1e-300
     return HolderBounds(lhs2, rhs2, lhsp, rhsp, c, bool(admissible), bool(ok2), bool(okp))
 
 

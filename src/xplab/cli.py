@@ -9,44 +9,40 @@ seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 
-import numpy as np
-
 from .blocks import make_rosenthal
 from .criteria import (
+    check,
     check_proof_bounds,
     check_prop24,
     check_thm13,
+    gen_thm13_witnesses,
     kp_classify,
     prop21_diagnostic,
 )
 from .experiments import DRIVERS, run_experiment
-from .operators import BlockProjection, estimate_opnorm, prop12_bound
+from .operators import OPNORM_SAFETY, BlockProjection, estimate_opnorm, prop12_bound
 from .report import Report, csv_rows
 from .serialize import (
     SerializationError,
-    block_to_doc,
-    canonical_dumps,
     doc_to_block,
     doc_to_constants,
+    doc_to_family,
     doc_to_operator,
     doc_to_space,
     doc_to_vector,
     doc_to_witness,
-    dump_json,
     load_json,
-    space_to_doc,
-    vector_to_doc,
     witness_to_doc,
 )
-from .space import SpVector, norm_2w, norm_p, ratio, xp_norm
-from .splitter import InfeasibleConstantsError, solve_constants, split
+from .space import max_ratio, norm_2w, norm_p, ratio, xp_norm
+from .splitter import solve_constants, split
 from .weights import generate, rosenthal_diagnostic
-from .criteria import WitnessInfeasibleError, gen_thm13_witnesses
 
 __all__ = ["run", "main"]
 
@@ -98,8 +94,6 @@ def _emit(report: Report, args) -> int:
     if csv:
         with open(csv, "w", encoding="utf-8") as fh:
             fh.write(csv_rows(report))
-    if report.wall_time_s is not None:
-        print(f"wall_time_s={report.wall_time_s:.3f}", file=sys.stderr)
     return 0 if report.verdict else 2
 
 
@@ -146,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projection", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--budget", type=int, default=128)
-    p.add_argument("--safety", type=float, default=1.05)
+    p.add_argument("--safety", type=float, default=OPNORM_SAFETY)
     common(p, seed=True)
 
     p = sub.add_parser("check", help="criterion checkers")
@@ -252,8 +246,6 @@ def _cmd_blocks(args) -> int:
         I = _indices(args.I)
         blk = make_rosenthal(space, I)
         core2 = norm_2w(blk.vector)
-        from .space import max_ratio
-
         cap = max_ratio(space, I)
         rep = Report("blocks rosenthal", {"space": args.space, "I": args.I})
         rep.data = {
@@ -269,16 +261,11 @@ def _cmd_blocks(args) -> int:
     blk = doc_to_block(load_json(args.block), space, require=False)
     core2 = norm_2w(blk.core())
     full2 = norm_2w(blk.vector)
-    from .criteria import _check
-    from .space import max_ratio
-
     rep = Report("blocks check", {"block": args.block, "space": args.space})
-    rep.add_checks(
-        [
-            _check("condition_a", core2, ">=", blk.delta * full2),
-            _check("condition_b", blk.c * core2, ">=", max_ratio(space, blk.Eset)),
-        ]
-    )
+    rep.checks = [
+        check("condition_a", core2, ">=", blk.delta * full2),
+        check("condition_b", blk.c * core2, ">=", max_ratio(space, blk.Eset)),
+    ]
     rep.data = {"delta": blk.delta, "c": blk.c}
     return _emit(rep, args)
 
@@ -347,7 +334,7 @@ def _cmd_split(args) -> int:
         {"x": args.x, "projection": args.projection, "N": args.N},
         seed=seed,
     )
-    rep.checks = [c.to_dict() for c in res.checks]
+    rep.checks = list(res.checks)
     rep.data = res.to_dict()
     return _emit(rep, args)
 
@@ -383,7 +370,7 @@ def _cmd_check(args) -> int:
             },
             seed=seed,
         )
-    rep.add_checks(out.checks)
+    rep.checks = list(out.checks)
     rep.data = out.data
     return _emit(rep, args)
 
@@ -408,11 +395,8 @@ def _cmd_gen(args) -> int:
     )
     rep.data = {"witnesses": [witness_to_doc(w) for w in wits]}
     for k, w in enumerate(wits):
-        out = check_thm13(w, tol=args.tol)
-        for c in out.checks:
-            d = c.to_dict()
-            d["name"] = f"w{k}.{d['name']}"
-            rep.checks.append(d)
+        for c in check_thm13(w, tol=args.tol).checks:
+            rep.checks.append(dataclasses.replace(c, name=f"w{k}.{c.name}"))
     return _emit(rep, args)
 
 
@@ -463,14 +447,12 @@ def _cmd_experiment(args) -> int:
         {"name": args.name, "scale": args.scale},
         seed=seed,
     )
-    rep.checks = out["checks"]
-    rep.data = out["data"]
+    rep.checks = list(out.checks)
+    rep.data = out.data
     return _emit(rep, args)
 
 
 def _cmd_weights(args) -> int:
-    from .serialize import doc_to_family
-
     fam = doc_to_family(_inline_or_file(args.family))
     if args.sub == "gen":
         values = generate(fam, D=args.D)
@@ -518,9 +500,7 @@ def _cmd_batch(args) -> int:
     finally:
         os.chdir(prev)
     rep = Report("batch", {"config": args.config})
-    rep.checks = [
-        {"name": "runs_failed", "lhs": counts["fail"], "op": "<=", "rhs": 0, "ok": counts["fail"] == 0}
-    ]
+    rep.checks = [check("runs_failed", counts["fail"], "<=", 0)]
     rep.data = {"runs": rows, "counts": counts}
     return _emit(rep, args)
 
@@ -552,13 +532,7 @@ def run(argv) -> int:
         handler = _HANDLERS[args.cmd]
         # wall time is measured around the handler but only reported to stderr
         code = handler(args)
-    except (SerializationError, WitnessInfeasibleError, InfeasibleConstantsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _dense
 from ._dense import col_norm, union_window, vectors_to_cols, window_weights
 from .blocks import Block, functional_apply, make_rosenthal
 from .operators import (
@@ -24,6 +25,7 @@ from .operators import (
     gram_project,
 )
 from .space import (
+    SLACK,
     SpVector,
     SupportSet,
     WeightedSpace,
@@ -40,6 +42,8 @@ from .space import (
 
 __all__ = [
     "Check",
+    "check",
+    "verdict",
     "CriterionReport",
     "Thm13Witness",
     "WitnessInfeasibleError",
@@ -54,9 +58,6 @@ __all__ = [
     "defect_of",
     "defect_experiment",
 ]
-
-_SLACK = 1e-12
-
 
 class WitnessInfeasibleError(ValueError):
     """The requested witness family cannot exist on this weight window."""
@@ -88,7 +89,8 @@ class Check:
         return d
 
 
-def _check(name, lhs, op, rhs, *, applicable=True, slack=0.0, note="") -> Check:
+def check(name, lhs, op, rhs, *, applicable=True, slack=0.0, note="") -> Check:
+    """Evaluate lhs op rhs, loosened by slack * max(|lhs|, |rhs|, 1)."""
     lhs = float(lhs)
     rhs = float(rhs)
     pad = slack * max(abs(lhs), abs(rhs), 1.0)
@@ -105,6 +107,11 @@ def _check(name, lhs, op, rhs, *, applicable=True, slack=0.0, note="") -> Check:
     return Check(name, lhs, op, rhs, bool(ok), bool(applicable), note)
 
 
+def verdict(checks) -> bool:
+    """Verdict of a set of checks: every applicable one holds."""
+    return all(c.ok for c in checks if c.applicable)
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Named checks plus free-form reported numbers; verdict is their conjunction."""
@@ -115,7 +122,7 @@ class CriterionReport:
 
     @property
     def verdict(self) -> bool:
-        return all(c.ok for c in self.checks if c.applicable)
+        return verdict(self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -124,6 +131,10 @@ class CriterionReport:
             "data": self.data,
             "verdict": self.verdict,
         }
+
+    def __getitem__(self, key: str):
+        """A field of the serialized form, for callers that read reports as dicts."""
+        return self.to_dict()[key]
 
 
 @dataclass(frozen=True)
@@ -179,11 +190,11 @@ def check_thm13(w: Thm13Witness, tol: float = 1e-9) -> CriterionReport:
     x2 = norm_2w(w.x)
     mass = max_ratio(w.space, w.E)
     checks = (
-        _check("head_small", head, "<", 1.0 / w.N),
-        _check("E_mass_share", xE2, ">=", w.delta * x2),
-        _check("window_upper", w.eps, ">=", w.c * xE2),
-        _check("mass_vs_window", w.c * xE2, ">=", mass),
-        _check("window_lower", mass, ">=", w.eps_prime),
+        check("head_small", head, "<", 1.0 / w.N),
+        check("E_mass_share", xE2, ">=", w.delta * x2),
+        check("window_upper", w.eps, ">=", w.c * xE2),
+        check("mass_vs_window", w.c * xE2, ">=", mass),
+        check("window_lower", mass, ">=", w.eps_prime),
     )
     data = {
         "head_norm": head,
@@ -313,26 +324,26 @@ def check_proof_bounds(
     kept_floor = base ** (1.0 / p) if base > 0 else 0.0
     p_attains = norm_p(y) >= y2
     checks = (
-        _check(
+        check(
             "E_mass_ceiling",
             omega(space, E),
             "<=",
             rho**-2.0 * delta ** (-4.0 / (p - 2.0)) * yE2 ** (2.0 * p / (p - 2.0)),
             applicable=b_holds,
-            slack=_SLACK,
+            slack=SLACK,
             note="" if b_holds else "E-part below delta share; ceiling not applicable",
         ),
-        _check("dropped_p_mass", tail_mass, "<=", rho ** (p - 2.0), slack=_SLACK),
-        _check(
+        check("dropped_p_mass", tail_mass, "<=", rho ** (p - 2.0), slack=SLACK),
+        check(
             "kept_norm_floor",
             xp_norm(yE),
             ">=",
             kept_floor,
             applicable=p_attains,
-            slack=_SLACK,
+            slack=SLACK,
             note="" if p_attains else "2w-norm attains the max; floor not applicable",
         ),
-        _check("dropped_p_norm", dropped_p, "<=", rho ** (1.0 - 2.0 / p), slack=_SLACK),
+        check("dropped_p_norm", dropped_p, "<=", rho ** (1.0 - 2.0 / p), slack=SLACK),
     )
     data = {
         "E": list(E.indices),
@@ -463,7 +474,7 @@ def check_prop24(
     bprime = float(bprime)
     Q = GramProjector(Z)
     h = estimate_h_inf(Z, budget=budget, seed=seed)
-    checks = [_check("span_ratio_floor", h, ">=", bprime)]
+    checks = [check("span_ratio_floor", h, ">=", bprime)]
     contradictions = []
     rows = []
     for k, x in enumerate(X_sample):
@@ -487,7 +498,7 @@ def check_prop24(
         rows.append(row)
         if qualifies:
             bound = row["bound_b"] if variant == "b" else row["bound_bprime"]
-            checks.append(_check(f"approx[{k}]", d2, "<", bound))
+            checks.append(check(f"approx[{k}]", d2, "<", bound))
         if not res.is_zero() and ratio(res) > beta:
             qres = gram_project(Q, res)
             contradictions.append(
@@ -577,30 +588,6 @@ def prop21_diagnostic(
     return out
 
 
-def _descend_cost(cost, A0: np.ndarray, rounds: int, h0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column coordinate descent of a nonnegative cost over coefficients."""
-    k, n = A0.shape
-    A = A0.copy()
-    f = cost(A)
-    h = np.full(n, float(h0))
-    for _ in range(rounds):
-        improved = np.zeros(n, dtype=bool)
-        for i in range(k):
-            for s in (1.0, -1.0):
-                Ac = A.copy()
-                Ac[i, :] += s * h
-                fc = cost(Ac)
-                better = fc < f
-                if np.any(better):
-                    A[i, better] = Ac[i, better]
-                    f[better] = fc[better]
-                    improved |= better
-        h[~improved] *= 0.5
-        if np.all(h < 1e-12 * max(h0, 1.0)):
-            break
-    return A, f
-
-
 def defect_of(
     x: SpVector,
     Y: Sequence[SpVector],
@@ -647,7 +634,9 @@ def defect_of(
         return col_norm(D, w, p, "xp")
 
     scale = max(float(np.max(np.abs(lsq))), 1.0)
-    _, f = _descend_cost(cost, A0, rounds, 0.25 * scale)
+    h0 = 0.25 * scale
+    step = np.full(A0.shape[1], h0)
+    _, f = _dense._coordinate_search(cost, A0, step, 1e-12 * max(h0, 1.0), rounds, np.less)
     return float(np.min(f)) / denom
 
 

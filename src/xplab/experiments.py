@@ -1,14 +1,15 @@
 """Seeded experiment drivers shared by the test suite and the CLI.
 
-Each driver runs one property campaign at a given scale and returns a plain
-dict: headline checks with both numeric sides, counts, and a verdict. The
-defaults are the full campaign sizes; scale them down for quick runs. All
-randomness flows through per-trial child seeds, so results are reproducible
-and independent of execution order.
+Each driver runs one property campaign at a given scale and returns a
+CriterionReport: headline checks with both numeric sides, counts, and a
+verdict. The defaults are the full campaign sizes; scale them down for quick
+runs. All randomness flows through per-trial child seeds, so results are
+reproducible and independent of execution order.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from ._dense import col_norm, window_weights
 from .blocks import holder_bounds, make_block, make_rosenthal
 from .criteria import (
-    _check,
+    CriterionReport,
+    check,
     check_proof_bounds,
     check_prop24,
     check_thm13,
@@ -40,6 +42,7 @@ from .operators import (
 )
 from .oracle import brute_opnorm
 from .space import (
+    SLACK,
     SpVector,
     WeightedSpace,
     basis_vector,
@@ -59,20 +62,9 @@ def _child(seed: int, *branch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, branch)]))
 
 
-def _result(name, criterion, checks, data) -> dict:
-    checks = [c.to_dict() for c in checks]
-    return {
-        "name": name,
-        "criterion": criterion,
-        "checks": checks,
-        "data": data,
-        "verdict": all(c["ok"] for c in checks if c.get("applicable", True)),
-    }
-
-
 # -- criterion 1 --------------------------------------------------------------
 
-def run_rosenthal_identities(trials: int = 1000, seed: int = 0) -> dict:
+def run_rosenthal_identities(trials: int = 1000, seed: int = 0) -> CriterionReport:
     """Closed forms for extremal blocks across random spaces."""
     worst = 0.0
     for k in range(int(trials)):
@@ -92,13 +84,13 @@ def run_rosenthal_identities(trials: int = 1000, seed: int = 0) -> dict:
             (ratio(y), om**sp.ratio_exp),
         ):
             worst = max(worst, abs(got - expect) / expect)
-    checks = [_check("identity_rel_error", worst, "<=", 1e-10)]
-    return _result("rosenthal-identities", 1, checks, {"trials": int(trials), "worst": worst})
+    checks = (check("identity_rel_error", worst, "<=", 1e-10),)
+    return CriterionReport("rosenthal-identities", checks, {"trials": int(trials), "worst": worst})
 
 
 # -- criterion 2 --------------------------------------------------------------
 
-def run_holder_pairs(trials: int = 100_000, seed: int = 0) -> dict:
+def run_holder_pairs(trials: int = 100_000, seed: int = 0) -> CriterionReport:
     """Functional-value norm bounds, extremal and general blocks alike."""
     viol = 0
     worst2 = 0.0
@@ -135,12 +127,12 @@ def run_holder_pairs(trials: int = 100_000, seed: int = 0) -> dict:
             worstp = max(worstp, hb.lhsp / (hb.c * hb.rhsp))
         if not (hb.ok2 and hb.okp and hb.c_admissible):
             viol += 1
-    checks = [
-        _check("violations", viol, "<=", 0),
-        _check("worst_2w_quotient", worst2, "<=", 1.0, slack=1e-12),
-        _check("worst_p_quotient", worstp, "<=", 1.0, slack=1e-12),
-    ]
-    return _result("holder-pairs", 2, checks, {"trials": int(trials), "violations": viol})
+    checks = (
+        check("violations", viol, "<=", 0),
+        check("worst_2w_quotient", worst2, "<=", 1.0, slack=SLACK),
+        check("worst_p_quotient", worstp, "<=", 1.0, slack=SLACK),
+    )
+    return CriterionReport("holder-pairs", checks, {"trials": int(trials), "violations": viol})
 
 
 # -- criterion 3 --------------------------------------------------------------
@@ -171,7 +163,9 @@ def _random_system(seed: int, branch: int):
     return BlockSystem(tuple(blocks)), rng
 
 
-def run_projection_bound(systems: int = 200, samples: int = 10_000, seed: int = 0) -> dict:
+def run_projection_bound(
+    systems: int = 200, samples: int = 10_000, seed: int = 0
+) -> CriterionReport:
     """Sampled operator bound, idempotence, and ratio windows per system."""
     worst_quot = 0.0
     worst_idem = 0.0
@@ -194,22 +188,19 @@ def run_projection_bound(systems: int = 200, samples: int = 10_000, seed: int = 
         resid = col_norm(M @ PX - PX, w, sp.p, "xp") / np.maximum(npx, 1e-12)
         worst_idem = max(worst_idem, float(np.max(resid)))
         windows_bad += sum(1 for r in ratio_bounds_check(sysm) if not r.ok)
-    checks = [
-        _check("norm_quotient_vs_bound", worst_quot, "<=", 1.0 + 1e-9),
-        _check("idempotence_rel", worst_idem, "<=", 1e-9),
-        _check("ratio_window_failures", windows_bad, "<=", 0),
-    ]
-    return _result(
-        "projection-bound",
-        3,
-        checks,
-        {"systems": int(systems), "samples": int(samples)},
+    checks = (
+        check("norm_quotient_vs_bound", worst_quot, "<=", 1.0 + 1e-9),
+        check("idempotence_rel", worst_idem, "<=", 1e-9),
+        check("ratio_window_failures", windows_bad, "<=", 0),
+    )
+    return CriterionReport(
+        "projection-bound", checks, {"systems": int(systems), "samples": int(samples)}
     )
 
 
 # -- criterion 4 --------------------------------------------------------------
 
-def run_opnorm_oracle(count: int = 50, seed: int = 0) -> dict:
+def run_opnorm_oracle(count: int = 50, seed: int = 0) -> CriterionReport:
     """Sampling estimator against the dense-grid oracle at dimension <= 6."""
     worst = 0.0
     for k in range(int(count)):
@@ -224,8 +215,8 @@ def run_opnorm_oracle(count: int = 50, seed: int = 0) -> dict:
             est = estimate_opnorm(op, mode=mode, budget=256, seed=k, rounds=24)
             ref = brute_opnorm(A, w, p, mode=mode)
             worst = max(worst, abs(est.lower - ref) / ref)
-    checks = [_check("oracle_rel_disagreement", worst, "<=", 0.02)]
-    return _result("opnorm-oracle", 4, checks, {"count": int(count), "worst": worst})
+    checks = (check("oracle_rel_disagreement", worst, "<=", 0.02),)
+    return CriterionReport("opnorm-oracle", checks, {"count": int(count), "worst": worst})
 
 
 # -- criterion 5 --------------------------------------------------------------
@@ -236,7 +227,7 @@ def run_thm13_machinery(
     bound_cases: int = 10_000,
     mk_setups: int = 60,
     seed: int = 0,
-) -> dict:
+) -> CriterionReport:
     """Witness generator, extraction monotonicity, proof bounds, index families."""
     gen_total = 0
     gen_pass = 0
@@ -299,15 +290,14 @@ def run_thm13_machinery(
         fam = mk_family(K, sysm.blocks, P)
         if not fam["implication_ok"]:
             mk_bad += 1
-    checks = [
-        _check("generator_pass_rate", gen_pass, ">=", gen_total),
-        _check("extract_monotonicity_failures", mono_bad, "<=", 0),
-        _check("proof_bound_violations", bound_viol, "<=", 0),
-        _check("index_family_implication_failures", mk_bad, "<=", 0),
-    ]
-    return _result(
+    checks = (
+        check("generator_pass_rate", gen_pass, ">=", gen_total),
+        check("extract_monotonicity_failures", mono_bad, "<=", 0),
+        check("proof_bound_violations", bound_viol, "<=", 0),
+        check("index_family_implication_failures", mk_bad, "<=", 0),
+    )
+    return CriterionReport(
         "thm13-machinery",
-        5,
         checks,
         {
             "witnesses": gen_total,
@@ -374,7 +364,9 @@ def _split_instance(seed: int, branch: int):
     return x, N, consts, P, sp
 
 
-def run_splitter(fuzz: int = 10_000, instances: int = 200, seed: int = 0, repro_path: str | None = None) -> dict:
+def run_splitter(
+    fuzz: int = 10_000, instances: int = 200, seed: int = 0, repro_path: str | None = None
+) -> CriterionReport:
     """Constant-system fuzz against direct substitution, then split claims."""
     fuzz_bad = 0
     for k in range(int(fuzz)):
@@ -425,14 +417,13 @@ def run_splitter(fuzz: int = 10_000, instances: int = 200, seed: int = 0, repro_
         from .serialize import dump_json
 
         dump_json(repro, repro_path)
-    checks = [
-        _check("constant_fuzz_failures", fuzz_bad, "<=", 0),
-        _check("split_claim_counterexamples", split_bad, "<=", 0),
-        _check("instances_with_premise", premise_count, ">=", int(instances)),
-    ]
-    return _result(
+    checks = (
+        check("constant_fuzz_failures", fuzz_bad, "<=", 0),
+        check("split_claim_counterexamples", split_bad, "<=", 0),
+        check("instances_with_premise", premise_count, ">=", int(instances)),
+    )
+    return CriterionReport(
         "splitter",
-        6,
         checks,
         {
             "fuzz": int(fuzz),
@@ -444,7 +435,7 @@ def run_splitter(fuzz: int = 10_000, instances: int = 200, seed: int = 0, repro_
 
 # -- criterion 7 --------------------------------------------------------------
 
-def run_gram_chains(spans: int = 100, per_span: int = 100, seed: int = 0) -> dict:
+def run_gram_chains(spans: int = 100, per_span: int = 100, seed: int = 0) -> CriterionReport:
     """Pythagoras identity, the ratio-floor norm chain, forced approximation failure."""
     pyth_worst = 0.0
     chain_bad = 0
@@ -489,15 +480,14 @@ def run_gram_chains(spans: int = 100, per_span: int = 100, seed: int = 0) -> dic
     rep = check_prop24(Z0, [x0], eps=0.5, beta=0.45, bprime=0.9, seed=seed)
     approx = next(c for c in rep.checks if c.name.startswith("approx"))
     forced_dist_exact = abs(approx.lhs - norm_2w(x0)) <= 1e-12
-    checks = [
-        _check("pythagoras_rel", pyth_worst, "<=", 1e-9),
-        _check("chain_failures", chain_bad, "<=", 0),
-        _check("forced_failure_detected", 0.0 if not rep.verdict else 1.0, "<=", 0.0),
-        _check("forced_distance_is_2w_norm", 0.0 if forced_dist_exact else 1.0, "<=", 0.0),
-    ]
-    return _result(
+    checks = (
+        check("pythagoras_rel", pyth_worst, "<=", 1e-9),
+        check("chain_failures", chain_bad, "<=", 0),
+        check("forced_failure_detected", 0.0 if not rep.verdict else 1.0, "<=", 0.0),
+        check("forced_distance_is_2w_norm", 0.0 if forced_dist_exact else 1.0, "<=", 0.0),
+    )
+    return CriterionReport(
         "gram-chains",
-        7,
         checks,
         {"spans": int(spans), "pairs": pairs, "forced_report": rep.to_dict()},
     )
@@ -505,7 +495,7 @@ def run_gram_chains(spans: int = 100, per_span: int = 100, seed: int = 0) -> dic
 
 # -- criterion 8 --------------------------------------------------------------
 
-def run_defect(samples: int = 60, seed: int = 0) -> dict:
+def run_defect(samples: int = 60, seed: int = 0) -> CriterionReport:
     """Forced disjoint-support defect plus a report-only span-sampling run."""
     sp = WeightedSpace(4.0, tuple(0.8 for _ in range(16)))
     Y = [
@@ -521,10 +511,10 @@ def run_defect(samples: int = 60, seed: int = 0) -> dict:
         Y, alpha=alpha, samples=int(samples), seed=seed, from_span=True
     )
     worst = survey["worst_defect"] if survey["worst_defect"] is not None else 0.0
-    checks = [
-        _check("forced_disjoint_defect", abs(forced - 1.0), "<=", 1e-9),
-        _check("span_survey_cap", worst, "<=", 1.0, slack=1e-12),
-    ]
+    checks = (
+        check("forced_disjoint_defect", abs(forced - 1.0), "<=", 1e-9),
+        check("span_survey_cap", worst, "<=", 1.0, slack=SLACK),
+    )
     data = {
         "forced_defect": forced,
         "span_survey": {
@@ -533,7 +523,7 @@ def run_defect(samples: int = 60, seed: int = 0) -> dict:
             "worst_defect": survey["worst_defect"],
         },
     }
-    return _result("defect", 8, checks, data)
+    return CriterionReport("defect", checks, data)
 
 
 DRIVERS = {
@@ -551,7 +541,7 @@ DRIVERS = {
 }
 
 
-def run_experiment(name: str, seed: int = 0, scale: float = 1.0, **overrides) -> dict:
+def run_experiment(name: str, seed: int = 0, scale: float = 1.0, **overrides) -> CriterionReport:
     """Run a named driver, scaling its default campaign sizes by ``scale``."""
     if name not in DRIVERS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(DRIVERS)}")
@@ -561,10 +551,8 @@ def run_experiment(name: str, seed: int = 0, scale: float = 1.0, **overrides) ->
     if scale != 1.0:
         if not scale > 0:
             raise ValueError("scale must be positive")
-        defaults = fn.__defaults__ or ()
-        names = fn.__code__.co_varnames[: len(defaults)]
-        base = dict(zip(names, defaults))
+        base = inspect.signature(fn).parameters
         for field in scalable:
             if field not in kwargs:
-                kwargs[field] = max(1, int(round(base[field] * scale)))
+                kwargs[field] = max(1, int(round(base[field].default * scale)))
     return fn(**kwargs)

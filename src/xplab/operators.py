@@ -17,9 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _dense
 from ._dense import col_norm, union_window, vectors_to_cols, window_weights
 from .blocks import Block, RosenthalBlock, functional_apply
 from .space import (
+    SLACK,
     SpVector,
     SupportSet,
     WeightedSpace,
@@ -47,8 +49,6 @@ __all__ = [
     "estimate_h_inf",
     "prop26_chain",
 ]
-
-_SLACK = 1e-12
 
 # Windows larger than this refuse dense materialization; estimators are
 # desk-scale tools, not production solvers.
@@ -108,9 +108,9 @@ class BlockSystem:
         if delta <= 0 or c <= 0:
             raise ValueError("delta and c must be positive")
         for j, (co, fu, cap) in enumerate(zip(core2, full2, caps)):
-            if co < delta * fu * (1.0 - _SLACK):
+            if co < delta * fu * (1.0 - SLACK):
                 raise ValueError(f"block {j} violates condition a at delta={delta}")
-            if c * co < cap * (1.0 - _SLACK):
+            if c * co < cap * (1.0 - SLACK):
                 raise ValueError(f"block {j} violates condition b at c={c}")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "delta", delta)
@@ -206,7 +206,7 @@ def ratio_bounds_check(sys: BlockSystem) -> list[RatioWindowRow]:
         wprime = sys.induced[j]
         lo = wprime / sys.c
         hi = wprime / sys.delta
-        ok = lo * (1.0 - _SLACK) <= r <= hi * (1.0 + _SLACK)
+        ok = lo * (1.0 - SLACK) <= r <= hi * (1.0 + SLACK)
         rows.append(RatioWindowRow(j, lo, r, hi, bool(ok)))
     return rows
 
@@ -350,32 +350,10 @@ def _sample_columns(d: int, budget: int, seed: int) -> np.ndarray:
     return cols
 
 
-def _ascend_ratio(objective, X: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column coordinate ascent of a scale-invariant objective.
-
-    objective(X) -> per-column values; columns are optimized independently,
-    so results match a sequential per-column run (parallel-safe reduction).
-    """
-    d, n = X.shape
-    f = objective(X)
+def _ascend(objective, X: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate ascent of a scale-invariant objective, steps relative to each column."""
     scale = np.maximum(np.max(np.abs(X), axis=0), 1e-12)
-    h = 0.5 * scale
-    for _ in range(rounds):
-        improved = np.zeros(n, dtype=bool)
-        for i in range(d):
-            for s in (1.0, -1.0):
-                Xc = X.copy()
-                Xc[i, :] += s * h
-                fc = objective(Xc)
-                better = fc > f
-                if np.any(better):
-                    X[i, better] = Xc[i, better]
-                    f[better] = fc[better]
-                    improved |= better
-        h[~improved] *= 0.5
-        if np.all(h < 1e-9 * scale):
-            break
-    return X, f
+    return _dense._coordinate_search(objective, X, 0.5 * scale, 1e-9 * scale, rounds)
 
 
 def _resolve_operator(op) -> DenseOperator:
@@ -420,7 +398,7 @@ def estimate_opnorm(
             vals = np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
         return vals
 
-    X, f = _ascend_ratio(objective, X, rounds)
+    X, f = _ascend(objective, X, rounds)
     best = int(np.argmax(f))
     if not np.isfinite(f[best]) or f[best] <= 0.0:
         zero = SpVector(dense.space, {})
@@ -476,7 +454,7 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int, rounds: int) -> floa
         # dead columns must lose regardless of search direction
         return np.where(den > 0, vals, -np.inf)
 
-    A1, fvals = _ascend_ratio(objective, A0, rounds)
+    _, fvals = _ascend(objective, A0, rounds)
     best = float(np.max(fvals))
     if not np.isfinite(best):
         raise ValueError("ratio extremum search degenerated")
@@ -527,5 +505,5 @@ def prop26_chain(
     r = ratio(x)
     lhs = xp_norm(gram_project(Q, x))
     rhs = math.sqrt(upper) * math.sqrt(r) * xp_norm(x) / bprime
-    ok = lhs <= rhs * (1.0 + _SLACK)
+    ok = lhs <= rhs * (1.0 + SLACK)
     return ChainResult(lhs, rhs, r, est.lower, upper, bool(ok))

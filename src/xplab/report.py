@@ -1,14 +1,14 @@
 """Run reports: config echo, numeric checks, verdicts, deterministic bytes.
 
 The canonical byte form excludes wall time so identical (config, seed) runs
-are byte-identical; timing goes to stderr and the optional timed form.
+are byte-identical; timing goes to stderr only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
+from .criteria import Check, verdict
 from .serialize import canonical_dumps
 
 __all__ = ["Report", "csv_rows"]
@@ -21,42 +21,31 @@ class Report:
     command: str
     config: dict
     seed: int | None = None
-    checks: list = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
     data: dict = field(default_factory=dict)
-    wall_time_s: float | None = None
 
     @property
     def verdict(self) -> bool:
-        return all(c.get("ok", True) for c in self.checks if c.get("applicable", True))
+        return verdict(self.checks)
 
-    def to_dict(self, *, include_wall_time: bool = False) -> dict:
-        doc: dict[str, Any] = {
+    def to_dict(self) -> dict:
+        return {
             "version": ARTIFACT_VERSION,
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
-            "checks": self.checks,
+            "checks": [c.to_dict() for c in self.checks],
             "data": self.data,
             "verdict": self.verdict,
         }
-        if include_wall_time and self.wall_time_s is not None:
-            doc["wall_time_s"] = self.wall_time_s
-        return doc
 
     def canonical(self) -> str:
         return canonical_dumps(self.to_dict())
-
-    def add_checks(self, checks) -> None:
-        for c in checks:
-            self.checks.append(c.to_dict() if hasattr(c, "to_dict") else dict(c))
 
 
 def csv_rows(report: Report) -> str:
     """Project the checks to CSV (name, lhs, op, rhs, ok) for plotting."""
     lines = ["name,lhs,op,rhs,ok"]
     for c in report.checks:
-        lines.append(
-            f"{c.get('name', '')},{c.get('lhs', '')},{c.get('op', '')},"
-            f"{c.get('rhs', '')},{c.get('ok', '')}"
-        )
+        lines.append(f"{c.name},{c.lhs},{c.op},{c.rhs},{c.ok}")
     return "\n".join(lines) + "\n"

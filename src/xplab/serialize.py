@@ -8,7 +8,7 @@ SerializationError naming the offending field; nothing guesses.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -115,11 +115,13 @@ def doc_to_family(doc: dict) -> WeightFamily:
     params = {k: v for k, v in doc.items() if k not in ("kind", "D")}
     if kind == "explicit":
         values = _need(doc, "values", "explicit weight family")
+        if not isinstance(values, list):
+            raise SerializationError("field 'values' must be a list of numbers")
         D = doc.get("D", len(values))
     else:
         D = _need(doc, "D", "weight family")
     try:
-        return WeightFamily(kind=kind, D=int(D), params=params)
+        return WeightFamily(kind=kind, D=D, params=params)
     except ValueError as exc:
         raise SerializationError(f"weight family: {exc}") from exc
 
@@ -294,7 +296,3 @@ def doc_to_constants(doc: dict) -> SplitConstants:
         return SplitConstants(**vals)
     except ValueError as exc:
         raise SerializationError(f"constants document: {exc}") from exc
-
-
-def blocks_from_docs(raw: Sequence[dict], space: WeightedSpace) -> list[Block]:
-    return [doc_to_block(b, space, require=False) for b in raw]

@@ -10,7 +10,7 @@ primitives defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 MAX_DIM = 65536
+
+# Relative slack for inequality verdicts across the lab; float roundoff only.
+SLACK = 1e-12
 
 # Below this, weight powers are accumulated in log space; see omega().
 TINY_WEIGHT = 1e-100

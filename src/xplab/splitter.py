@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .criteria import Check, _check, extract_Ei
+from .criteria import Check, check, extract_Ei, verdict
 from .space import (
     SpVector,
     SupportSet,
@@ -200,7 +200,7 @@ class SplitResult:
 
     @property
     def claims_ok(self) -> bool:
-        return all(c.ok for c in self.checks if c.applicable)
+        return verdict(self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -265,7 +265,7 @@ def split(x: SpVector, N: int, consts: SplitConstants, P) -> SplitResult:
     xE2 = norm_2w(restrict(x, E_x))
 
     checks = (
-        _check(
+        check(
             "small_part_ratio",
             r_y if r_y is not None else 0.0,
             "<=",
@@ -273,7 +273,7 @@ def split(x: SpVector, N: int, consts: SplitConstants, P) -> SplitResult:
             applicable=r_y is not None,
             note="" if r_y is not None else "y = 0; nothing to bound",
         ),
-        _check(
+        check(
             "large_part_ratio",
             r_z if r_z is not None else 0.0,
             ">=",
@@ -281,8 +281,8 @@ def split(x: SpVector, N: int, consts: SplitConstants, P) -> SplitResult:
             applicable=r_z is not None,
             note="" if r_z is not None else "z = 0; remainder is degenerate",
         ),
-        _check("dropped_p_norm", dropped_p, "<=", consts.rho ** ((p - 2.0) / p)),
-        _check("total_2w_norm", x2, "<=", consts.beta),
+        check("dropped_p_norm", dropped_p, "<=", consts.rho ** ((p - 2.0) / p)),
+        check("total_2w_norm", x2, "<=", consts.beta),
     )
     return SplitResult(
         E_x=E_x,

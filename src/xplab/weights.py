@@ -10,7 +10,9 @@ it on a finite window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+from .space import MAX_DIM
 
 __all__ = [
     "WeightFamily",
@@ -22,7 +24,6 @@ __all__ = [
     "equal_mass_family",
     "generate",
     "rosenthal_diagnostic",
-    "induced_weights",
 ]
 
 KINDS = ("constant", "power-law", "geometric", "doubly-indexed", "explicit")
@@ -52,41 +53,56 @@ class WeightFamily:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown weight family kind {self.kind!r}")
-        if int(self.D) < 1:
-            raise ValueError("family length D must be >= 1")
-        object.__setattr__(self, "D", int(self.D))
+        object.__setattr__(self, "D", _length(self.D))
         object.__setattr__(self, "params", dict(self.params))
         _validate_params(self.kind, self.params, self.D)
 
 
+def _length(D) -> int:
+    try:
+        D = int(D)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"family length D must be an integer, got {D!r}") from None
+    if not 1 <= D <= MAX_DIM:
+        raise ValueError(f"family length D = {D} must lie in [1, {MAX_DIM}]")
+    return D
+
+
+def _scalar(name: str, v) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"weight family parameter {name!r} must be a number, got {v!r}") from None
+
+
 def _validate_params(kind: str, params: dict, D: int) -> None:
     if kind == "constant":
-        v = float(params.get("value", 1.0))
+        v = _scalar("value", params.get("value", 1.0))
         if not (v > 0 and math.isfinite(v)):
             raise ValueError("constant family needs value > 0")
     elif kind == "power-law":
-        a = float(params.get("a", 0.0))
+        a = _scalar("a", params.get("a", 0.0))
         if a < 0 or not math.isfinite(a):
             raise ValueError("power-law family needs a >= 0")
     elif kind == "geometric":
-        q = float(params.get("ratio", 0.5))
-        s = float(params.get("scale", 1.0))
+        q = _scalar("ratio", params.get("ratio", 0.5))
+        s = _scalar("scale", params.get("scale", 1.0))
         if not (0 < q < 1):
             raise ValueError("geometric family needs ratio in (0, 1)")
         if not (s > 0 and math.isfinite(s)):
             raise ValueError("geometric family needs scale > 0")
     elif kind == "doubly-indexed":
-        a = float(params.get("level_exp", 0.25))
-        b = float(params.get("mult_exp", 1.0))
+        a = _scalar("level_exp", params.get("level_exp", 0.25))
+        b = _scalar("mult_exp", params.get("mult_exp", 1.0))
         if a < 0 or b < 0:
             raise ValueError("doubly-indexed family needs nonnegative exponents")
     elif kind == "explicit":
         vals = params.get("values")
-        if not vals:
-            raise ValueError("explicit family needs nonempty values")
+        if not isinstance(vals, (list, tuple)) or not vals:
+            raise ValueError("explicit family needs a nonempty list of values")
         if len(vals) < D:
             raise ValueError(f"explicit family has {len(vals)} values, needs {D}")
-        if any(not (float(v) > 0 and math.isfinite(float(v))) for v in vals):
+        if any(not (v > 0 and math.isfinite(v)) for v in [_scalar("values", v) for v in vals]):
             raise ValueError("explicit family values must be positive and finite")
 
 
@@ -127,9 +143,7 @@ def equal_mass_family(p: float, D: int, level_exp: float = 0.25) -> WeightFamily
 
 def generate(f: WeightFamily, D: int | None = None) -> list[float]:
     """Materialize the first D weights of the family (default: f.D)."""
-    D = f.D if D is None else int(D)
-    if D < 1:
-        raise ValueError("D must be >= 1")
+    D = f.D if D is None else _length(D)
     _validate_params(f.kind, f.params, D)
     if f.kind == "constant":
         return [float(f.params.get("value", 1.0))] * D
@@ -195,8 +209,3 @@ def rosenthal_diagnostic(f: WeightFamily, eps: float, D_list, p: float) -> dict:
         "doubling_ratios": ratios,
         "flag": "diverging" if diverging else "saturating",
     }
-
-
-def induced_weights(system) -> list[float]:
-    """Weights the blocks of a system induce: the per-block max achievable ratio."""
-    return list(system.induced)

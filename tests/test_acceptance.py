@@ -17,8 +17,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _assert_verdict(name: str, label: str, **kwargs):
     out = run_experiment(name, seed=0, **kwargs)
-    failing = [c for c in out["checks"] if not c["ok"] and c.get("applicable", True)]
-    assert out["verdict"], f"{label}: failing checks {json.dumps(failing, indent=2)}"
+    failing = [c.to_dict() for c in out.checks if not c.ok and c.applicable]
+    assert out.verdict, f"{label}: failing checks {json.dumps(failing, indent=2)}"
     print(f"{label}: PASS")
     return out
 
@@ -46,7 +46,7 @@ def test_criterion_5_witness_machinery():
 def test_criterion_6_splitter(tmp_path):
     repro = str(tmp_path / "split_counterexample.json")
     out = _assert_verdict("splitter", "CRITERION 6 (constants and splits)", repro_path=repro)
-    if not out["verdict"]:
+    if not out.verdict:
         assert os.path.exists(repro), "a counterexample must leave a JSON repro"
 
 

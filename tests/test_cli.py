@@ -294,3 +294,24 @@ def test_unknown_subcommand_is_usage_error():
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fam, field", [
+    ({"kind": "power-law", "a": [0.1], "D": 4}, "'a'"),
+    ({"kind": "constant", "value": 1.0, "D": [4]}, "length D"),
+    ({"kind": "explicit", "values": 3}, "'values'"),
+    ({"kind": "explicit", "values": [1.0, [2.0]]}, "'values'"),
+])
+def test_weights_non_scalar_field_is_usage_error(fam, field, capsys):
+    assert run(["weights", "gen", "--family", json.dumps(fam)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and field in errors[0]
+
+
+def test_weights_length_beyond_cap_is_usage_error(fix, capsys):
+    fam = json.dumps({"kind": "constant", "value": 1.0, "D": 10**12})
+    assert run(["weights", "gen", "--family", fam]) == 1
+    assert run(["weights", "gen", "--family", fix("family_powerlaw.json"), "--D", str(10**12)]) == 1
+    assert "Traceback" not in capsys.readouterr().err

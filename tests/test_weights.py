@@ -5,8 +5,10 @@ import math
 import pytest
 
 from xplab import (
+    MAX_DIM,
     BlockSystem,
     SpVector,
+    WeightFamily,
     WeightedSpace,
     constant_family,
     doubly_indexed_family,
@@ -14,7 +16,6 @@ from xplab import (
     explicit_family,
     generate,
     geometric_family,
-    induced_weights,
     make_block,
     power_law_family,
     ratio,
@@ -112,7 +113,7 @@ def test_diagnostic_validation():
 def test_induced_weights_single_block(pair_space):
     z = SpVector(pair_space, {1: 1.0, 2: 0.5})
     sys = BlockSystem((make_block(z, [1, 2], 1.0, 1.0),))
-    (wprime,) = induced_weights(sys)
+    (wprime,) = list(sys.induced)
     assert wprime == pytest.approx(1.0625 ** 0.25, rel=1e-14)
 
 
@@ -120,7 +121,7 @@ def test_induced_weight_of_singleton_is_the_weight():
     sp = WeightedSpace(4.0, (1.0, 0.5, 0.8))
     z = SpVector(sp, {2: 1.0})
     sys = BlockSystem((make_block(z, [2], 1.0, 1.0),))
-    assert induced_weights(sys) == pytest.approx([0.5], rel=1e-15)
+    assert list(sys.induced) == pytest.approx([0.5], rel=1e-15)
 
 
 def test_unit_block_ratio_equals_induced_weight_at_tight_constants():
@@ -129,5 +130,20 @@ def test_unit_block_ratio_equals_induced_weight_at_tight_constants():
     z = SpVector(sp, {1: 0.5, 2: 0.5})
     z = z * (1.0 / xp_norm(z))
     sys = BlockSystem((make_block(z, [1, 2], 1.0, 1.0),))
-    (wprime,) = induced_weights(sys)
+    (wprime,) = list(sys.induced)
     assert ratio(z) == pytest.approx(wprime, rel=1e-12)
+
+
+def test_non_scalar_param_names_the_field():
+    with pytest.raises(ValueError, match="'a'"):
+        WeightFamily("power-law", 4, {"a": [0.1]})
+    with pytest.raises(ValueError, match="'values'"):
+        WeightFamily("explicit", 2, {"values": [1.0, [2.0]]})
+
+
+def test_length_is_capped_at_max_dim():
+    assert len(generate(power_law_family(0.1, MAX_DIM))) == MAX_DIM
+    with pytest.raises(ValueError, match="D = 1000000000000"):
+        WeightFamily("constant", 10**12, {"value": 1.0})
+    with pytest.raises(ValueError):
+        generate(constant_family(1.0, 4), MAX_DIM + 1)
