@@ -26,10 +26,6 @@ from xplab.experiments import _split_instance  # noqa: E402
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
 
 
-def _vec_entries(x: SpVector) -> list:
-    return [[i, v] for i, v in sorted(x.entries.items())]
-
-
 def main() -> None:
     os.makedirs(OUT, exist_ok=True)
 
@@ -72,7 +68,7 @@ def main() -> None:
             {
                 "support": list(I),
                 "E": list(I),
-                "entries": _vec_entries(z),
+                "entries": z,
                 "delta": None,
                 "c": None,
             }
@@ -120,7 +116,7 @@ def main() -> None:
     # generator target: flat tiny weights make single-index tail sets feasible
     tail = WeightedSpace(4.0, tuple([0.1] * 64))
     put("space_tail.json", {"p": 4.0, "weights": [0.1] * 64})
-    wits = gen_thm13_witnesses(tail, c=1.2, delta=0.5, eps=0.2, count=2, seed=0)
+    wits = gen_thm13_witnesses(tail, c=1.2, delta=0.5, eps=0.2, count=2)
     put("witness_good.json", witness_to_doc(wits[0]))
     put("gen_args.json", {"eps": 0.2, "delta": 0.5, "c": 1.2, "count": 2})
 
@@ -152,11 +148,11 @@ def main() -> None:
         ws.append(wv * s)
     put(
         "ulist.json",
-        {"p": 4.0, "weights": wts, "vectors": [_vec_entries(v) for v in us]},
+        {"p": 4.0, "weights": wts, "vectors": us},
     )
     put(
         "wlist.json",
-        {"p": 4.0, "weights": wts, "vectors": [_vec_entries(v) for v in ws]},
+        {"p": 4.0, "weights": wts, "vectors": ws},
     )
 
     # a validated splitter instance: unit vector, mask projection, constants
@@ -166,7 +162,7 @@ def main() -> None:
         {
             "support": list(b.support.indices),
             "E": list(b.Eset.indices),
-            "entries": _vec_entries(b.vector),
+            "entries": b.vector,
         }
         for b in P.system.blocks
     ]

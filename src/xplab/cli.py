@@ -2,8 +2,10 @@
 
 Exit codes: 0 all asserted checks passed; 2 some check failed (the report is
 still written); 1 usage or I/O error. Reports are byte-identical for the same
-(config, seed); wall time goes to stderr only. XPLAB_SEED supplies the default
-seed.
+(config, seed); wall time goes to stderr only. A report's command is the
+command and subcommand joined by a space; its config is every parsed argument
+except cmd, sub, seed, out and csv. Commands with a --seed flag record their
+seed, which XPLAB_SEED supplies by default.
 """
 
 from __future__ import annotations
@@ -46,8 +48,16 @@ from .weights import generate, rosenthal_diagnostic
 
 __all__ = ["run", "main"]
 
+# parsed arguments that select the command or its outputs rather than configure it
+_NOT_CONFIG = ("cmd", "sub", "seed", "out", "csv")
 
-def _default_seed() -> int:
+
+def _seed_of(args) -> int | None:
+    """--seed, else XPLAB_SEED, else 0; None for commands without a --seed flag."""
+    if not hasattr(args, "seed"):
+        return None
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("XPLAB_SEED", "0")
     try:
         return int(raw)
@@ -71,28 +81,23 @@ def _inline_or_file(text: str):
     return load_json(text)
 
 
-def _vector_list(doc: dict, what: str):
+def _vector_list(doc: dict, what: str) -> list:
     space = doc_to_space(doc)
     raw = doc.get("vectors")
     if not isinstance(raw, list) or not raw:
         raise SerializationError(f"{what} must carry a nonempty 'vectors' list")
-    out = []
-    for k, entries in enumerate(raw):
-        out.append(doc_to_vector({"entries": entries}, space))
-    return space, out
+    return [doc_to_vector({"entries": entries}, space) for entries in raw]
 
 
 def _emit(report: Report, args) -> int:
     text = report.canonical()
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    csv = getattr(args, "csv", None)
-    if csv:
-        with open(csv, "w", encoding="utf-8") as fh:
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_rows(report))
     return 0 if report.verdict else 2
 
@@ -104,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False):
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--csv", help="also write checks as CSV rows")
-        p.add_argument("--tol", type=float, default=1e-9)
         if seed:
             p.add_argument("--seed", type=int, default=None)
 
@@ -223,92 +227,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _seed_of(args) -> int:
-    s = getattr(args, "seed", None)
-    return _default_seed() if s is None else int(s)
+# Each handler takes the parsed arguments and the seed (None for commands
+# without --seed) and returns the report's checks and data.
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args, seed):
     x = doc_to_vector(load_json(args.x))
-    rep = Report("norm", {"x": args.x})
-    rep.data = {
+    return [], {
         "norm_p": norm_p(x),
         "norm_2w": norm_2w(x),
         "xp_norm": xp_norm(x),
         "ratio": None if x.is_zero() else ratio(x),
     }
-    return _emit(rep, args)
 
 
-def _cmd_blocks(args) -> int:
+def _cmd_blocks(args, seed):
     space = doc_to_space(load_json(args.space))
     if args.sub == "rosenthal":
         I = _indices(args.I)
         blk = make_rosenthal(space, I)
-        core2 = norm_2w(blk.vector)
-        cap = max_ratio(space, I)
-        rep = Report("blocks rosenthal", {"space": args.space, "I": args.I})
-        rep.data = {
-            "block": {
-                "support": list(blk.support.indices),
-                "E": list(blk.support.indices),
-                "entries": [[i, v] for i, v in sorted(blk.vector.entries.items())],
-                "delta": 1.0,
-                "c": cap / core2,
-            }
+        block = {
+            "support": blk.support,
+            "E": blk.support,
+            "entries": blk.vector,
+            "delta": 1.0,
+            "c": max_ratio(space, I) / norm_2w(blk.vector),
         }
-        return _emit(rep, args)
+        return [], {"block": block}
     blk = doc_to_block(load_json(args.block), space, require=False)
     core2 = norm_2w(blk.core())
-    full2 = norm_2w(blk.vector)
-    rep = Report("blocks check", {"block": args.block, "space": args.space})
-    rep.checks = [
-        check("condition_a", core2, ">=", blk.delta * full2),
+    checks = [
+        check("condition_a", core2, ">=", blk.delta * norm_2w(blk.vector)),
         check("condition_b", blk.c * core2, ">=", max_ratio(space, blk.Eset)),
     ]
-    rep.data = {"delta": blk.delta, "c": blk.c}
-    return _emit(rep, args)
+    return checks, {"delta": blk.delta, "c": blk.c}
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args, seed):
     op = doc_to_operator(load_json(args.projection))
     x = doc_to_vector(load_json(args.x), getattr(op, "space", None))
     px = op.apply(x)
-    rep = Report("project", {"x": args.x, "projection": args.projection})
-    rep.data = {
-        "Px": [[i, v] for i, v in sorted(px.entries.items())],
-        "xp_norm_x": xp_norm(x),
-        "xp_norm_Px": xp_norm(px),
-    }
+    data = {"Px": px, "xp_norm_x": xp_norm(x), "xp_norm_Px": xp_norm(px)}
     if isinstance(op, BlockProjection):
-        rep.data["analytic_bound"] = prop12_bound(op.system)
-        rep.data["normalized_system"] = op.system.normalized
-    return _emit(rep, args)
+        data["analytic_bound"] = prop12_bound(op.system)
+        data["normalized_system"] = op.system.normalized
+    return [], data
 
 
-def _cmd_opnorm(args) -> int:
-    seed = _seed_of(args)
+def _cmd_opnorm(args, seed):
     op = doc_to_operator(load_json(args.op))
     est = estimate_opnorm(op, mode=args.mode, budget=args.budget, seed=seed)
-    rep = Report(
-        "opnorm",
-        {"op": args.op, "mode": args.mode, "budget": args.budget},
-        seed=seed,
-    )
     analytic = None
     if isinstance(op, BlockProjection) and args.mode == "xp" and op.system.normalized:
         analytic = prop12_bound(op.system)
-    rep.data = {
+    return [], {
         "lower": est.lower,
-        "witness": [[i, v] for i, v in sorted(est.witness.entries.items())],
+        "witness": est.witness,
         "analytic_upper": analytic,
         "degenerate": est.degenerate,
     }
-    return _emit(rep, args)
 
 
-def _cmd_split(args) -> int:
-    seed = _seed_of(args)
+def _cmd_split(args, seed):
     op = doc_to_operator(load_json(args.projection))
     x = doc_to_vector(load_json(args.x), getattr(op, "space", None))
     cdoc = _inline_or_file(args.constants)
@@ -324,97 +304,49 @@ def _cmd_split(args) -> int:
             normP = estimate_opnorm(op, mode="xp", budget=args.budget, seed=seed).lower * args.safety
         if normP2 is None:
             normP2 = estimate_opnorm(op, mode="2w", budget=args.budget, seed=seed).lower * args.safety
-        consts = solve_constants(
-            float(cdoc["delta"]), float(cdoc["c"]), float(cdoc["eps"]),
-            float(normP), float(normP2), x.space.p,
-        )
+        consts = solve_constants(cdoc["delta"], cdoc["c"], cdoc["eps"], normP, normP2, x.space.p)
     res = split(x, args.N, consts, op)
-    rep = Report(
-        "split",
-        {"x": args.x, "projection": args.projection, "N": args.N},
-        seed=seed,
-    )
-    rep.checks = list(res.checks)
-    rep.data = res.to_dict()
-    return _emit(rep, args)
+    return res.checks, res.to_dict()
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, seed):
     if args.sub == "thm13":
-        wit = doc_to_witness(load_json(args.witness))
-        out = check_thm13(wit, tol=args.tol)
-        rep = Report("check thm13", {"witness": args.witness})
+        out = check_thm13(doc_to_witness(load_json(args.witness)))
     elif args.sub == "proof-bounds":
         y = doc_to_vector(load_json(args.y))
-        out = check_proof_bounds(y, _indices(args.F), args.rho, args.delta, tol=args.tol)
-        rep = Report(
-            "check proof-bounds",
-            {"y": args.y, "F": args.F, "rho": args.rho, "delta": args.delta},
-        )
+        out = check_proof_bounds(y, _indices(args.F), args.rho, args.delta)
     else:
-        seed = _seed_of(args)
-        _, Z = _vector_list(load_json(args.z), "--z")
-        _, X = _vector_list(load_json(args.x_sample), "--x-sample")
+        Z = _vector_list(load_json(args.z), "--z")
+        X = _vector_list(load_json(args.x_sample), "--x-sample")
         out = check_prop24(
             Z, X, args.eps, args.beta, args.bprime, variant=args.variant, seed=seed
         )
-        rep = Report(
-            "check prop24",
-            {
-                "z": args.z,
-                "x_sample": args.x_sample,
-                "eps": args.eps,
-                "beta": args.beta,
-                "bprime": args.bprime,
-                "variant": args.variant,
-            },
-            seed=seed,
-        )
-    rep.checks = list(out.checks)
-    rep.data = out.data
-    return _emit(rep, args)
+    return out.checks, out.data
 
 
-def _cmd_gen(args) -> int:
-    seed = _seed_of(args)
+def _cmd_gen(args, seed):
     space = doc_to_space(load_json(args.space))
     wits = gen_thm13_witnesses(
-        space, args.c, args.delta, args.eps, args.count, seed=seed, start=args.start
+        space, args.c, args.delta, args.eps, args.count, start=args.start
     )
-    rep = Report(
-        "gen thm13",
-        {
-            "space": args.space,
-            "eps": args.eps,
-            "delta": args.delta,
-            "c": args.c,
-            "count": args.count,
-            "start": args.start,
-        },
-        seed=seed,
-    )
-    rep.data = {"witnesses": [witness_to_doc(w) for w in wits]}
-    for k, w in enumerate(wits):
-        for c in check_thm13(w, tol=args.tol).checks:
-            rep.checks.append(dataclasses.replace(c, name=f"w{k}.{c.name}"))
-    return _emit(rep, args)
+    checks = [
+        dataclasses.replace(c, name=f"w{k}.{c.name}")
+        for k, w in enumerate(wits)
+        for c in check_thm13(w).checks
+    ]
+    return checks, {"witnesses": [witness_to_doc(w) for w in wits]}
 
 
-def _cmd_classify(args) -> int:
-    seed = _seed_of(args)
-    _, V = _vector_list(load_json(args.v), "--v")
-    out = kp_classify(V, args.C, tail_start=args.tail_start, budget=args.budget, seed=seed)
-    rep = Report("classify kp", {"v": args.v, "C": args.C, "tail_start": args.tail_start}, seed=seed)
-    rep.data = out
-    return _emit(rep, args)
+def _cmd_classify(args, seed):
+    V = _vector_list(load_json(args.v), "--v")
+    return [], kp_classify(V, args.C, tail_start=args.tail_start, budget=args.budget, seed=seed)
 
 
-def _cmd_diag(args) -> int:
-    seed = _seed_of(args)
-    _, U = _vector_list(load_json(args.u), "--u")
-    _, W = _vector_list(load_json(args.w), "--w")
+def _cmd_diag(args, seed):
+    U = _vector_list(load_json(args.u), "--u")
+    W = _vector_list(load_json(args.w), "--w")
     op = doc_to_operator(load_json(args.projection))
-    out = prop21_diagnostic(
+    return [], prop21_diagnostic(
         U,
         W,
         op,
@@ -427,49 +359,24 @@ def _cmd_diag(args) -> int:
         budget=args.budget,
         seed=seed,
     )
-    rep = Report(
-        "diag prop21",
-        {"u": args.u, "w": args.w, "projection": args.projection, "K": args.K, "window": args.window},
-        seed=seed,
-    )
-    rep.data = out
-    return _emit(rep, args)
 
 
-def _cmd_experiment(args) -> int:
-    seed = _seed_of(args)
+def _cmd_experiment(args, seed):
     kwargs = {}
     if args.name == "splitter" and args.repro:
         kwargs["repro_path"] = args.repro
     out = run_experiment(args.name, seed=seed, scale=args.scale, **kwargs)
-    rep = Report(
-        "experiment",
-        {"name": args.name, "scale": args.scale},
-        seed=seed,
-    )
-    rep.checks = list(out.checks)
-    rep.data = out.data
-    return _emit(rep, args)
+    return out.checks, out.data
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args, seed):
     fam = doc_to_family(_inline_or_file(args.family))
     if args.sub == "gen":
-        values = generate(fam, D=args.D)
-        rep = Report("weights gen", {"family": args.family, "D": args.D})
-        rep.data = {"weights": values}
-        return _emit(rep, args)
-    D_list = _indices(args.D_list)
-    out = rosenthal_diagnostic(fam, args.eps, D_list, args.p)
-    rep = Report(
-        "weights diag",
-        {"family": args.family, "eps": args.eps, "D_list": args.D_list, "p": args.p},
-    )
-    rep.data = out
-    return _emit(rep, args)
+        return [], {"weights": generate(fam, D=args.D)}
+    return [], rosenthal_diagnostic(fam, args.eps, _indices(args.D_list), args.p)
 
 
-def _cmd_batch(args) -> int:
+def _cmd_batch(args, seed):
     doc = load_json(args.config)
     runs = doc.get("runs") if isinstance(doc, dict) else doc
     if runs is None or not isinstance(runs, list):
@@ -499,10 +406,8 @@ def _cmd_batch(args) -> int:
             rows.append({"argv": argv, "exit": code})
     finally:
         os.chdir(prev)
-    rep = Report("batch", {"config": args.config})
-    rep.checks = [check("runs_failed", counts["fail"], "<=", 0)]
-    rep.data = {"runs": rows, "counts": counts}
-    return _emit(rep, args)
+    checks = [check("runs_failed", counts["fail"], "<=", 0)]
+    return checks, {"runs": rows, "counts": counts}
 
 
 _HANDLERS = {
@@ -529,9 +434,17 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     t0 = time.perf_counter()
     try:
-        handler = _HANDLERS[args.cmd]
+        seed = _seed_of(args)
+        checks, data = _HANDLERS[args.cmd](args, seed)
+        report = Report(
+            command=" ".join(filter(None, (args.cmd, getattr(args, "sub", None)))),
+            config={k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
+            seed=seed,
+            checks=list(checks),
+            data=data,
+        )
         # wall time is measured around the handler but only reported to stderr
-        code = handler(args)
+        code = _emit(report, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

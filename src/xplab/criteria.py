@@ -25,6 +25,7 @@ from .operators import (
     gram_project,
 )
 from .space import (
+    NORM_TOL,
     SLACK,
     SpVector,
     SupportSet,
@@ -155,7 +156,10 @@ class Thm13Witness:
     def __post_init__(self):
         E = self.E if isinstance(self.E, SupportSet) else SupportSet.of(self.E)
         object.__setattr__(self, "E", E)
-        N = int(self.N)
+        try:
+            N = int(self.N)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"N must be an integer, got {self.N!r}") from None
         object.__setattr__(self, "N", N)
         if N < 1:
             raise ValueError("N must be >= 1")
@@ -163,7 +167,10 @@ class Thm13Witness:
         if any(not (N + 1 <= j <= dim) for j in E):
             raise ValueError(f"E must lie in {{{N + 1}, ..., {dim}}}")
         for nm in ("c", "delta", "eps", "eps_prime"):
-            v = float(getattr(self, nm))
+            try:
+                v = float(getattr(self, nm))
+            except (TypeError, ValueError):
+                raise ValueError(f"{nm} must be a number, got {getattr(self, nm)!r}") from None
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{nm} must be positive and finite")
             object.__setattr__(self, nm, v)
@@ -175,15 +182,15 @@ class Thm13Witness:
         return self.x.space
 
 
-def check_thm13(w: Thm13Witness, tol: float = 1e-9) -> CriterionReport:
+def check_thm13(w: Thm13Witness) -> CriterionReport:
     """Evaluate the five witness inequalities and report all sides.
 
     a) the head of x below 1/N, b) the E-part carries a delta share of the
     2-mass, c) the three-way window eps >= c|x_E|_2 >= omega(E)^ratio_exp
-    >= eps_prime. The witness must be normalized to tol.
+    >= eps_prime. The witness must be normalized to NORM_TOL.
     """
     nx = xp_norm(w.x)
-    if abs(nx - 1.0) > tol:
+    if abs(nx - 1.0) > NORM_TOL:
         raise ValueError(f"witness is not normalized: xp_norm = {nx}")
     head = xp_norm(head_proj(w.x, w.N))
     xE2 = norm_2w(restrict(w.x, w.E))
@@ -215,7 +222,6 @@ def gen_thm13_witnesses(
     delta: float,
     eps: float,
     count: int,
-    seed: int = 0,
     start: int = 0,
 ) -> list[Thm13Witness]:
     """Greedy tail witnesses: normalized extremal blocks on disjoint sets.
@@ -223,10 +229,9 @@ def gen_thm13_witnesses(
     Sets are accumulated from the tail past ``start`` until their ratio cap
     enters [eps/2, min(eps/c, 1)]; indices that would overshoot are skipped.
     eps_prime is fixed at eps/2. Witnesses pass check_thm13 by construction
-    (requires delta <= 1 and 1 <= c, with a nonempty cap window). The seed is
-    accepted for interface uniformity; the scan is deterministic.
+    (requires delta <= 1 and 1 <= c, with a nonempty cap window). The scan
+    is deterministic.
     """
-    del seed  # deterministic greedy scan
     if count < 1:
         raise ValueError("count must be >= 1")
     c = float(c)
@@ -293,7 +298,7 @@ def extract_Ei(y: SpVector, F, rho: float) -> SupportSet:
 
 
 def check_proof_bounds(
-    y: SpVector, F, rho: float, delta: float, tol: float = 1e-9
+    y: SpVector, F, rho: float, delta: float
 ) -> CriterionReport:
     """The four finite bounds tying the large-coefficient set to its thresholds.
 
@@ -301,10 +306,11 @@ def check_proof_bounds(
     applicable only when |y_E|_2w >= delta |y|_2w; ii) the dropped p-mass
     against rho**(p-2); iii) the kept part's space norm against
     (1 - rho**(p-2))**(1/p), applicable when the p-norm attains the unit max;
-    iv) the dropped part's p-norm against rho**(1-2/p). y must be normalized.
+    iv) the dropped part's p-norm against rho**(1-2/p). y must be normalized
+    to NORM_TOL.
     """
     ny = xp_norm(y)
-    if abs(ny - 1.0) > tol:
+    if abs(ny - 1.0) > NORM_TOL:
         raise ValueError(f"y is not normalized: xp_norm = {ny}")
     delta = float(delta)
     if not 0 < delta:
@@ -532,7 +538,6 @@ def prop21_diagnostic(
     eps: float | None = None,
     budget: int = 192,
     seed: int = 0,
-    norm_tol: float = 1e-9,
 ) -> dict:
     """Finite surrogates for the limit quantities of the lower-bound test.
 
@@ -556,7 +561,7 @@ def prop21_diagnostic(
     for n in range(window):
         z = u_list[n] + w_list[n]
         nz = xp_norm(z)
-        if abs(nz - 1.0) > norm_tol:
+        if abs(nz - 1.0) > NORM_TOL:
             raise ValueError(f"z_{n} is not normalized: xp_norm = {nz}")
         ratios.append(ratio(z))
     beta_hat = max(ratios)

@@ -408,7 +408,7 @@ def run_splitter(
                 repro = {
                     "p": sp.p,
                     "weights": list(sp.weights),
-                    "x": [[i, v] for i, v in sorted(x.entries.items())],
+                    "x": x,
                     "N": N,
                     "constants": consts.to_dict(),
                     "result": res.to_dict(),

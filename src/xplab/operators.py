@@ -19,18 +19,17 @@ import numpy as np
 
 from . import _dense
 from ._dense import col_norm, union_window, vectors_to_cols, window_weights
-from .blocks import Block, RosenthalBlock, functional_apply
+from .blocks import Block, functional_apply
 from .space import (
+    NORM_TOL,
     SLACK,
     SpVector,
-    SupportSet,
     WeightedSpace,
     inner,
     max_ratio,
     norm_2w,
-    norm_p,
+    norm_p,  # unused here; bench/tests/test_bench_tracing.py asserts operators.norm_p
     ratio,
-    restrict,
     xp_norm,
 )
 
@@ -119,7 +118,7 @@ class BlockSystem:
         object.__setattr__(
             self,
             "normalized",
-            all(abs(xp_norm(b.vector) - 1.0) <= 1e-9 for b in blocks),
+            all(abs(xp_norm(b.vector) - 1.0) <= NORM_TOL for b in blocks),
         )
 
     @property

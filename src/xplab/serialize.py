@@ -7,6 +7,7 @@ SerializationError naming the offending field; nothing guesses.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -147,7 +148,7 @@ def doc_to_space(doc: dict) -> WeightedSpace:
 
 def vector_to_doc(x: SpVector) -> dict:
     doc = space_to_doc(x.space)
-    doc["entries"] = [[i, v] for i, v in sorted(x.entries.items())]
+    doc["entries"] = _plain(x)
     return doc
 
 
@@ -167,7 +168,7 @@ def block_to_doc(b: Block) -> dict:
     return {
         "support": list(b.support.indices),
         "E": list(b.Eset.indices),
-        "entries": [[i, v] for i, v in sorted(b.vector.entries.items())],
+        "entries": _plain(b.vector),
         "delta": b.delta,
         "c": b.c,
     }
@@ -264,34 +265,17 @@ def witness_to_doc(w: Thm13Witness) -> dict:
 
 def doc_to_witness(doc: dict, space: WeightedSpace | None = None) -> Thm13Witness:
     x = doc_to_vector(doc, space)
+    fields = ("E", "N", "c", "delta", "eps", "eps_prime")
+    vals = {f: _need(doc, f, "witness document") for f in fields}
     try:
-        return Thm13Witness(
-            x=x,
-            E=SupportSet.of(_need(doc, "E", "witness document")),
-            N=int(_need(doc, "N", "witness document")),
-            c=float(_need(doc, "c", "witness document")),
-            delta=float(_need(doc, "delta", "witness document")),
-            eps=float(_need(doc, "eps", "witness document")),
-            eps_prime=float(_need(doc, "eps_prime", "witness document")),
-        )
+        return Thm13Witness(x=x, **vals)
     except ValueError as exc:
         raise SerializationError(f"witness document: {exc}") from exc
 
 
 def doc_to_constants(doc: dict) -> SplitConstants:
-    fields = (
-        "delta",
-        "c",
-        "eps",
-        "normP",
-        "normP2",
-        "p",
-        "alpha",
-        "beta",
-        "rho",
-        "eps_prime",
-    )
-    vals = {f: float(_need(doc, f, "constants document")) for f in fields}
+    fields = [f.name for f in dataclasses.fields(SplitConstants)]
+    vals = {f: _need(doc, f, "constants document") for f in fields}
     try:
         return SplitConstants(**vals)
     except ValueError as exc:

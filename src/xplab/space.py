@@ -41,6 +41,9 @@ MAX_DIM = 65536
 # Relative slack for inequality verdicts across the lab; float roundoff only.
 SLACK = 1e-12
 
+# How far from 1 a vector's space norm may sit and still count as normalized.
+NORM_TOL = 1e-9
+
 # Below this, weight powers are accumulated in log space; see omega().
 TINY_WEIGHT = 1e-100
 

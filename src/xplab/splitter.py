@@ -9,10 +9,11 @@ large-coefficient set) and a large-ratio remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .criteria import Check, check, extract_Ei, verdict
 from .space import (
+    NORM_TOL,
     SpVector,
     SupportSet,
     head_proj,
@@ -46,6 +47,16 @@ class InfeasibleConstantsError(ValueError):
     """The constant system has no solution for these inputs."""
 
 
+def _positive(name: str, v) -> float:
+    try:
+        v = float(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {v!r}") from None
+    if not (math.isfinite(v) and v > 0):
+        raise InfeasibleConstantsError(f"{name} must be positive and finite")
+    return v
+
+
 @dataclass(frozen=True)
 class SplitConstants:
     """Solved constants plus the inputs they answer to.
@@ -66,22 +77,8 @@ class SplitConstants:
     eps_prime: float
 
     def __post_init__(self):
-        for nm in (
-            "delta",
-            "c",
-            "eps",
-            "normP",
-            "normP2",
-            "p",
-            "alpha",
-            "beta",
-            "rho",
-            "eps_prime",
-        ):
-            v = float(getattr(self, nm))
-            if not (math.isfinite(v) and v > 0):
-                raise InfeasibleConstantsError(f"{nm} must be positive and finite")
-            object.__setattr__(self, nm, v)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
         if not self.p > 2:
             raise InfeasibleConstantsError("p must exceed 2")
         if not self.delta * self.normP2 < 1.0:
@@ -121,18 +118,7 @@ class SplitConstants:
         return min(self.c**-e * self.delta ** (2.0 / (self.p - 2.0)), self.beta**e)
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "c": self.c,
-            "eps": self.eps,
-            "normP": self.normP,
-            "normP2": self.normP2,
-            "p": self.p,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rho": self.rho,
-            "eps_prime": self.eps_prime,
-        }
+        return asdict(self)
 
 
 def solve_constants(
@@ -145,11 +131,9 @@ def solve_constants(
     rho sits exactly at its cap and eps_prime at half its own. The result
     is re-validated by construction.
     """
-    delta, c, eps = float(delta), float(c), float(eps)
-    normP, normP2, p = float(normP), float(normP2), float(p)
-    for nm, v in (("delta", delta), ("c", c), ("eps", eps), ("normP", normP), ("normP2", normP2)):
-        if not (math.isfinite(v) and v > 0):
-            raise InfeasibleConstantsError(f"{nm} must be positive and finite")
+    delta, c, eps = _positive("delta", delta), _positive("c", c), _positive("eps", eps)
+    normP, normP2 = _positive("normP", normP), _positive("normP2", normP2)
+    p = float(p)
     if not p > 2:
         raise InfeasibleConstantsError("p must exceed 2")
     if not delta * normP2 < 1.0:
@@ -204,9 +188,9 @@ class SplitResult:
 
     def to_dict(self) -> dict:
         return {
-            "E_x": list(self.E_x.indices),
-            "y": [[i, v] for i, v in sorted(self.y.entries.items())],
-            "z": [[i, v] for i, v in sorted(self.z.entries.items())],
+            "E_x": self.E_x,
+            "y": self.y,
+            "z": self.z,
             "ratios": {
                 "x": self.ratios[0],
                 "y": self.ratios[1],
@@ -226,8 +210,8 @@ class SplitResult:
 def split(x: SpVector, N: int, consts: SplitConstants, P) -> SplitResult:
     """Split a unit vector fixed by P along its large-coefficient set.
 
-    Preconditions, each raising by name: xp_norm(x) = 1 to 1e-9; no support
-    at or below N; alpha < ratio(x) < beta; x within 1e-9 of its own image
+    Preconditions, each raising by name: xp_norm(x) = 1 to NORM_TOL; no support
+    at or below N; alpha < ratio(x) < beta; x within NORM_TOL of its own image
     under P. The result reports r(y) <= alpha and r(z) >= beta plus the
     dropped-part p-norm and total 2w-norm bounds, with the premise
     |x on E_x|_2w < delta |x|_2w recorded but never enforced.
@@ -236,7 +220,7 @@ def split(x: SpVector, N: int, consts: SplitConstants, P) -> SplitResult:
     if N < 0:
         raise ValueError("N must be nonnegative")
     nx = xp_norm(x)
-    if abs(nx - 1.0) > 1e-9:
+    if abs(nx - 1.0) > NORM_TOL:
         raise ValueError(f"precondition 'norm' violated: xp_norm(x) = {nx}")
     if not head_proj(x, N).is_zero():
         raise ValueError(f"precondition 'support' violated: x has entries at or below {N}")
@@ -248,7 +232,7 @@ def split(x: SpVector, N: int, consts: SplitConstants, P) -> SplitResult:
         )
     img = P.apply(x)
     drift = xp_norm(x - img)
-    if drift > 1e-9:
+    if drift > NORM_TOL:
         raise ValueError(
             f"precondition 'range membership' violated: xp_norm(x - Px) = {drift}"
         )

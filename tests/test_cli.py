@@ -315,3 +315,56 @@ def test_weights_length_beyond_cap_is_usage_error(fix, capsys):
     assert run(["weights", "gen", "--family", fam]) == 1
     assert run(["weights", "gen", "--family", fix("family_powerlaw.json"), "--D", str(10**12)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _single_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    return errors[0]
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_split_non_number_constant_is_usage_error(fix, partial, tmp_path, capsys):
+    consts = _read(fix("split_constants.json"))
+    if partial:
+        consts = {k: consts[k] for k in ("delta", "c", "eps")}
+    consts["delta"] = [0.1]
+    assert run([
+        "split", "--x", fix("split_x.json"), "--constants", json.dumps(consts),
+        "--projection", fix("split_projection.json"), "--N", "5",
+    ]) == 1
+    assert "delta" in _single_error(capsys)
+
+
+def test_check_thm13_non_integer_N_is_usage_error(fix, tmp_path, capsys):
+    wit = _read(fix("witness_good.json"))
+    wit["N"] = [1]
+    path = str(tmp_path / "witness.json")
+    with open(path, "w") as fh:
+        json.dump(wit, fh)
+    assert run(["check", "thm13", "--witness", path]) == 1
+    assert "N" in _single_error(capsys)
+
+
+def test_report_config_records_every_argument(fix, out):
+    assert run([
+        "split", "--x", fix("split_x.json"), "--constants", fix("split_constants.json"),
+        "--projection", fix("split_projection.json"), "--N", "5", "--out", out,
+    ]) == 0
+    rep = _read(out)
+    assert rep["command"] == "split"
+    assert rep["config"]["constants"] == fix("split_constants.json")
+    assert rep["config"]["budget"] == 128
+    assert rep["config"]["safety"] == 1.05
+    assert not {"cmd", "sub", "seed", "out", "csv"} & set(rep["config"])
+    assert run([
+        "diag", "prop21", "--u", fix("ulist.json"), "--w", fix("wlist.json"),
+        "--projection", fix("projection_small.json"), "--K", "1.2", "--window", "2",
+        "--head-cut", "1", "--budget", "64", "--out", out,
+    ]) == 0
+    rep = _read(out)
+    assert rep["command"] == "diag prop21"
+    assert rep["config"]["head_cut"] == 1
+    assert rep["config"]["budget"] == 64

@@ -53,7 +53,7 @@ def test_witness_validation():
 
 
 def test_generator_roundtrip_passes_checker():
-    wits = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=3, seed=0)
+    wits = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=3)
     assert len(wits) == 3
     for w in wits:
         rep = check_thm13(w)
@@ -65,15 +65,15 @@ def test_generator_roundtrip_passes_checker():
 
 
 def test_generator_deterministic():
-    a = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=2, seed=0)
-    b = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=2, seed=99)
+    a = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=2)
+    b = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=2)
     assert [list(w.E.indices) for w in a] == [list(w.E.indices) for w in b]
 
 
 def test_generator_infeasible_window():
     # eps/2 > min(eps/c, 1) leaves no room for the tail mass
     with pytest.raises(WitnessInfeasibleError, match="range|window|feasible"):
-        gen_thm13_witnesses(FLAT, c=3.0, delta=0.5, eps=1.0, count=1, seed=0)
+        gen_thm13_witnesses(FLAT, c=3.0, delta=0.5, eps=1.0, count=1)
 
 
 def test_generator_rejects_bad_constants():
@@ -84,7 +84,7 @@ def test_generator_rejects_bad_constants():
 
 
 def test_checker_flags_tampered_window():
-    (w,) = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=1, seed=0)
+    (w,) = gen_thm13_witnesses(FLAT, c=1.2, delta=0.5, eps=0.2, count=1)
     bad = Thm13Witness(
         x=w.x, E=w.E, N=w.N, c=w.c, delta=w.delta, eps=w.eps, eps_prime=w.eps * 0.999
     )
