@@ -28,7 +28,7 @@ from .criteria import (
     prop21_diagnostic,
 )
 from .experiments import DRIVERS, run_experiment
-from .operators import OPNORM_SAFETY, BlockProjection, estimate_opnorm, prop12_bound
+from .operators import BlockProjection, estimate_opnorm, prop12_bound
 from .report import Report, csv_rows
 from .serialize import (
     SerializationError,
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projection", required=True)
     common(p)
 
-    p = sub.add_parser("opnorm", help="sampled operator-norm lower bound")
+    p = sub.add_parser("opnorm", help="operator-norm bracket")
     p.add_argument("--op", required=True)
     p.add_argument("--mode", choices=("xp", "2w"), default="xp")
     p.add_argument("--budget", type=int, default=256)
@@ -144,7 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projection", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--budget", type=int, default=128)
-    p.add_argument("--safety", type=float, default=OPNORM_SAFETY)
     common(p, seed=True)
 
     p = sub.add_parser("check", help="criterion checkers")
@@ -282,9 +281,9 @@ def _cmd_opnorm(args, seed):
         analytic = prop12_bound(op.system)
     return [], {
         "lower": est.lower,
+        "upper": est.upper,
         "witness": est.witness,
         "analytic_upper": analytic,
-        "degenerate": est.degenerate,
     }
 
 
@@ -301,9 +300,9 @@ def _cmd_split(args, seed):
         normP = cdoc.get("normP")
         normP2 = cdoc.get("normP2")
         if normP is None:
-            normP = estimate_opnorm(op, mode="xp", budget=args.budget, seed=seed).lower * args.safety
+            normP = estimate_opnorm(op, mode="xp", budget=args.budget, seed=seed).upper
         if normP2 is None:
-            normP2 = estimate_opnorm(op, mode="2w", budget=args.budget, seed=seed).lower * args.safety
+            normP2 = estimate_opnorm(op, mode="2w", budget=args.budget, seed=seed).upper
         consts = solve_constants(cdoc["delta"], cdoc["c"], cdoc["eps"], normP, normP2, x.space.p)
     res = split(x, args.N, consts, op)
     return res.checks, res.to_dict()

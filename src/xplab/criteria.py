@@ -154,7 +154,10 @@ class Thm13Witness:
     eps_prime: float
 
     def __post_init__(self):
-        E = self.E if isinstance(self.E, SupportSet) else SupportSet.of(self.E)
+        try:
+            E = self.E if isinstance(self.E, SupportSet) else SupportSet.of(self.E)
+        except TypeError:
+            raise ValueError(f"E must be a list of indices, got {self.E!r}") from None
         object.__setattr__(self, "E", E)
         try:
             N = int(self.N)

@@ -201,7 +201,7 @@ def run_projection_bound(
 # -- criterion 4 --------------------------------------------------------------
 
 def run_opnorm_oracle(count: int = 50, seed: int = 0) -> CriterionReport:
-    """Sampling estimator against the dense-grid oracle at dimension <= 6."""
+    """Operator-norm estimator (sampled xp, SVD 2w) against the dense-grid oracle at d <= 6."""
     worst = 0.0
     for k in range(int(count)):
         rng = _child(seed, 4, k)
@@ -333,7 +333,8 @@ def _split_instance(seed: int, branch: int):
     delta = float(rng.uniform(0.1, 0.4))
     eps = float(rng.uniform(0.05, 0.3))
     c = 1.0
-    normP = normP2 = 1.05
+    # the mask of unit basis blocks below has norm exactly 1 in both norms
+    normP = normP2 = 1.0
     consts = solve_constants(delta, c, eps, normP, normP2, p)
     alpha, beta, rho = consts.alpha, consts.beta, consts.rho
     w_small = float(rng.uniform(0.7, 1.0))

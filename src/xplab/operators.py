@@ -4,9 +4,12 @@ A block system is a disjointly supported family of blocks sharing global
 constants (delta, c); its projection sends x to the sum of functional values
 times block vectors and is bounded by max(1/delta, c) in the space norm for
 systems of unit blocks. A Gram projector is the orthogonal projection onto a
-finite span in the weighted inner product. Operator norms and ratio extrema
-over spans are estimated by seeded sphere sampling plus coordinate ascent;
-a dense-grid oracle for small dimensions lives in :mod:`xplab.oracle`.
+finite span in the weighted inner product. An operator norm comes as a
+certified bracket [lower, upper]: closed in the 2w norm (one SVD), and in the
+xp norm a sampled witness under a computed bound, since exact p->p norms are
+NP-hard to approximate. Ratio extrema over spans are estimated by seeded
+sphere sampling plus coordinate ascent; a dense-grid oracle for small
+dimensions lives in :mod:`xplab.oracle`.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ __all__ = [
 DENSE_WINDOW_CAP = 4096
 
 GRAM_COND_GUARD = 1e12
-
-# Safety factor turning a sampled lower bound into the working upper bound.
-OPNORM_SAFETY = 1.05
 
 
 @dataclass(frozen=True)
@@ -325,20 +325,16 @@ class DenseOperator:
 
 @dataclass(frozen=True)
 class OpNormEstimate:
-    """Sampled lower bound on an operator norm, with the witness that attains it.
+    """Certified bracket lower <= ||A|| <= upper on an operator norm.
 
     ``lower`` equals the norm ratio of ``witness`` recomputed through the
-    operator's own apply path, so the bound is certified by an actual vector.
-    ``upper`` is an optional analytic bound supplied by the caller.
+    operator's own apply path, so an actual vector certifies it. ``upper`` is
+    an analytic bound (see :func:`estimate_opnorm`).
     """
 
     lower: float
-    upper: float | None
+    upper: float
     witness: SpVector
-    samples: int
-    seed: int
-    mode: str
-    degenerate: bool = False
 
 
 def _sample_columns(d: int, budget: int, seed: int) -> np.ndarray:
@@ -370,14 +366,16 @@ def estimate_opnorm(
     budget: int = 256,
     seed: int = 0,
     rounds: int = 16,
-    upper: float | None = None,
 ) -> OpNormEstimate:
-    """Seeded lower estimate of an operator norm in mode "xp" or "2w".
+    """Certified bracket [lower, upper] on an operator norm in mode "xp" or "2w".
 
-    budget random sphere directions (one child seed per sample, so results
-    are reproducible and monotone in budget) are polished by coordinate
-    ascent; the best polished column becomes the witness and the reported
-    lower bound is its norm ratio recomputed through op.apply.
+    lower is the witness's norm ratio recomputed through op.apply. 2w: the
+    witness is W^-1 v for the top right singular vector v of W A W^-1, whose
+    top singular value is upper. xp: budget seeded sphere directions
+    (reproducible, monotone in budget) are polished by coordinate ascent, and
+    upper is max(||A||_1^(1/p) ||A||_inf^(1-1/p) (Riesz-Thorin), 2w norm),
+    capped by max(1/delta, c) for a normalized block projection. A nonzero
+    norm outside the double range raises ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -387,33 +385,35 @@ def estimate_opnorm(
     A = dense.matrix
     w = window_weights(dense.space, dense.window)
     p = dense.space.p
-    d = len(dense.window)
-    X = _sample_columns(d, int(budget), int(seed))
-
-    def objective(Xc):
-        den = col_norm(Xc, w, p, mode)
-        num = col_norm(A @ Xc, w, p, mode)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
-        return vals
-
-    X, f = _ascend(objective, X, rounds)
-    best = int(np.argmax(f))
-    if not np.isfinite(f[best]) or f[best] <= 0.0:
-        zero = SpVector(dense.space, {})
-        return OpNormEstimate(0.0, upper, zero, int(budget), int(seed), mode, degenerate=True)
-    col = X[:, best]
-    col = col / col_norm(col[:, None], w, p, mode)[0]
-    witness = SpVector(
-        dense.space,
-        {int(i): float(v) for i, v in zip(dense.window, col) if v != 0.0},
-    )
-    image = dense.apply(witness)
-    if mode == "xp":
-        lower = xp_norm(image) / xp_norm(witness)
+    M = A * w[:, None] / w[None, :]  # W A W^-1: its spectral norm is the 2w norm
+    if mode == "2w":
+        _, s, Vt = np.linalg.svd(M)
+        col, upper = Vt[0] / w, float(s[0])
     else:
-        lower = norm_2w(image) / norm_2w(witness)
-    return OpNormEstimate(float(lower), upper, witness, int(budget), int(seed), mode)
+        X = _sample_columns(len(dense.window), int(budget), int(seed))
+
+        def objective(Xc):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                den = col_norm(Xc, w, p, mode)
+                num = col_norm(A @ Xc, w, p, mode)
+                return np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
+
+        X, f = _ascend(objective, X, rounds)
+        col = X[:, int(np.argmax(f))]
+        col = col / col_norm(col[:, None], w, p, mode)[0]
+        riesz_thorin = np.linalg.norm(A, 1) ** (1 / p) * np.linalg.norm(A, np.inf) ** (1 - 1 / p)
+        upper = max(float(riesz_thorin), float(np.linalg.norm(M, 2)))
+        if isinstance(op, BlockProjection) and op.system.normalized:
+            upper = min(upper, prop12_bound(op.system))
+    norm = xp_norm if mode == "xp" else norm_2w
+    try:
+        witness = SpVector(dense.space, dict(zip(dense.window.tolist(), col.tolist())))
+        lower = norm(dense.apply(witness)) / norm(witness)
+    except (OverflowError, ValueError):
+        lower = math.inf
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"the {mode} operator norm is not finite in double precision")
+    return OpNormEstimate(lower, upper, witness)
 
 
 def _span_matrix(V: Sequence[SpVector]):
@@ -491,8 +491,8 @@ def prop26_chain(
     """Norm chain for a span whose unit vectors all have ratio >= bprime.
 
     lhs is xp_norm(Qx); rhs is opnorm(Q)^(1/2) * ratio(x)^(1/2) * xp_norm(x)
-    / bprime, with opnorm(Q) the sampled xp estimate times a 1.05 safety
-    factor (recorded). The caller certifies bprime, e.g. via estimate_h_inf.
+    / bprime, with opnorm(Q) the certified xp upper bound (recorded). The
+    caller certifies bprime, e.g. via estimate_h_inf.
     """
     if x.is_zero():
         raise ValueError("chain undefined at the zero vector")
@@ -500,7 +500,7 @@ def prop26_chain(
     if not 0 < bprime <= 1:
         raise ValueError("bprime must lie in (0, 1]")
     est = Q.opnorm(mode="xp", budget=budget, seed=seed)
-    upper = est.lower * OPNORM_SAFETY
+    upper = est.upper
     r = ratio(x)
     lhs = xp_norm(gram_project(Q, x))
     rhs = math.sqrt(upper) * math.sqrt(r) * xp_norm(x) / bprime

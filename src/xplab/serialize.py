@@ -16,7 +16,7 @@ import numpy as np
 from .blocks import Block, make_block
 from .criteria import Thm13Witness
 from .operators import BlockProjection, BlockSystem, DenseOperator, GramProjector
-from .space import SpVector, SupportSet, WeightedSpace
+from .space import SpVector, SupportSet, WeightedSpace, max_ratio, norm_2w, restrict
 from .splitter import SplitConstants
 from .weights import WeightFamily, generate
 
@@ -99,8 +99,22 @@ def _entries(raw: Any, where: str) -> dict[int, float]:
         i, v = pair
         if not isinstance(i, int) or isinstance(i, bool):
             raise SerializationError(f"{where}[{k}] has a non-integer index")
-        out[i] = float(v)
+        out[i] = _number(v, f"{where}[{k}] value")
     return out
+
+
+def _number(raw: Any, field: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise SerializationError(f"{field} must be a number, got {raw!r}") from None
+
+
+def _index_set(raw: Any, field: str) -> SupportSet:
+    try:
+        return SupportSet.of(raw)
+    except (TypeError, ValueError):
+        raise SerializationError(f"{field} must be a list of positive indices, got {raw!r}") from None
 
 
 # -- weight families ---------------------------------------------------------
@@ -176,36 +190,27 @@ def block_to_doc(b: Block) -> dict:
 
 def doc_to_block(doc: dict, space: WeightedSpace, *, require: bool = True) -> Block:
     entries = _entries(_need(doc, "entries", "block document"), "block entries")
-    E = _need(doc, "E", "block document")
+    E = _index_set(_need(doc, "E", "block document"), "block field 'E'")
+    delta, c = (
+        None if doc.get(k) is None else _number(doc[k], f"block field {k!r}")
+        for k in ("delta", "c")
+    )
     try:
         vec = SpVector(space, entries)
         # absent constants mean "tightest valid": equality in both conditions
-        if doc.get("delta") is None or doc.get("c") is None:
-            from .space import max_ratio, norm_2w, restrict
-
+        if delta is None or c is None:
             core2 = norm_2w(restrict(vec, E))
             if core2 == 0.0:
                 raise ValueError("block has zero mass on its E-set")
-            delta = (
-                float(doc["delta"]) if doc.get("delta") is not None
-                else core2 / norm_2w(vec)
-            )
-            c = (
-                float(doc["c"]) if doc.get("c") is not None
-                else max_ratio(space, E) / core2
-            )
-        else:
-            delta = float(doc["delta"])
-            c = float(doc["c"])
+            if delta is None:
+                delta = core2 / norm_2w(vec)
+            if c is None:
+                c = max_ratio(space, E) / core2
         blk = make_block(vec, E, delta, c, require=require)
     except ValueError as exc:
         raise SerializationError(f"block document: {exc}") from exc
-    if "support" in doc:
-        declared = SupportSet.of(doc["support"])
-        if declared != blk.support:
-            raise SerializationError(
-                "block document: field 'support' disagrees with the entries"
-            )
+    if "support" in doc and _index_set(doc["support"], "block field 'support'") != blk.support:
+        raise SerializationError("block document: field 'support' disagrees with the entries")
     return blk
 
 
@@ -238,9 +243,17 @@ def doc_to_operator(doc: dict):
             raise SerializationError(f"operator spec: {exc}") from exc
     if kind == "matrix":
         window = _need(doc, "window", "operator spec")
-        matrix = np.asarray(_need(doc, "matrix", "operator spec"), dtype=float)
+        matrix = _need(doc, "matrix", "operator spec")
+        try:
+            matrix = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError):
+            matrix = np.array(np.nan)
+        if not np.all(np.isfinite(matrix)):
+            raise SerializationError("field 'matrix' must be rows of finite numbers")
         try:
             return DenseOperator(space, matrix, tuple(int(i) for i in window))
+        except TypeError:
+            raise SerializationError(f"field 'window' must be a list of indices, got {window!r}") from None
         except ValueError as exc:
             raise SerializationError(f"operator spec: {exc}") from exc
     raise SerializationError(f"unknown operator kind {kind!r}")

@@ -82,6 +82,24 @@ def test_opnorm_fields_and_determinism(fix, out, tmp_path):
     assert rep["data"]["lower"] <= rep["data"]["analytic_upper"] * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("mode", ["xp", "2w"])
+def test_opnorm_out_of_range_is_error_and_zero_is_closed(fix, mode, tmp_path, out, capsys):
+    doc = _read(fix("matrix_identity.json"))
+    doc["matrix"] = [[1e308, 0.0], [0.0, 1.0]]
+    path = str(tmp_path / "op.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run(["opnorm", "--op", path, "--mode", mode]) == 1
+    assert "not finite" in _single_error(capsys)
+    doc["matrix"] = [[0.0, 0.0], [0.0, 0.0]]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run(["opnorm", "--op", path, "--mode", mode, "--out", out]) == 0
+    data = _read(out)["data"]
+    assert (data["lower"], data["upper"]) == (0.0, 0.0)
+    assert "degenerate" not in data
+
+
 def test_opnorm_seed_from_env(fix, out, tmp_path, monkeypatch):
     out2 = str(tmp_path / "r2.json")
     monkeypatch.setenv("XPLAB_SEED", "41")
@@ -116,6 +134,8 @@ def test_split_with_partial_constants_solves(fix, out):
     assert rep["data"]["premise_met"] is True
     solved = rep["data"]["constants"]
     assert solved["beta"] == pytest.approx(sc["beta"], rel=0.05)
+    # the fixture projection masks unit basis blocks, so its exact 2w norm is 1
+    assert solved["normP2"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_check_thm13(fix, out):
@@ -348,6 +368,32 @@ def test_check_thm13_non_integer_N_is_usage_error(fix, tmp_path, capsys):
     assert "N" in _single_error(capsys)
 
 
+@pytest.mark.parametrize("argv, fixture, field, value", [
+    (["check", "thm13", "--witness"], "witness_good.json", "E", 3),
+    (["check", "thm13", "--witness"], "witness_good.json", "E", None),
+    (["check", "thm13", "--witness"], "witness_good.json", "E", [[1]]),
+    (["blocks", "check", "--space", "space_small.json", "--block"], "block_good.json", "E", 3),
+    (["blocks", "check", "--space", "space_small.json", "--block"], "block_good.json", "E", None),
+    (["blocks", "check", "--space", "space_small.json", "--block"], "block_good.json", "support", 3),
+    (["blocks", "check", "--space", "space_small.json", "--block"], "block_good.json", "support", None),
+    (["blocks", "check", "--space", "space_small.json", "--block"], "block_good.json", "delta", [1]),
+    (["norm", "--x"], "x_pair.json", "entries", [2]),
+    (["opnorm", "--op"], "matrix_identity.json", "window", 3),
+    (["opnorm", "--op"], "matrix_identity.json", "matrix", [[None, 0.0], [0.0, 1.0]]),
+])
+def test_malformed_field_is_usage_error(argv, fixture, field, value, tmp_path, monkeypatch, capsys):
+    doc = _read(os.path.join(FIXTURES, fixture))
+    if field == "entries":
+        doc["entries"][0][1] = value
+    else:
+        doc[field] = value
+    path = str(tmp_path / fixture)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert _run_in_fixtures(argv + [path], monkeypatch) == 1
+    assert field in _single_error(capsys)
+
+
 def test_report_config_records_every_argument(fix, out):
     assert run([
         "split", "--x", fix("split_x.json"), "--constants", fix("split_constants.json"),
@@ -357,7 +403,7 @@ def test_report_config_records_every_argument(fix, out):
     assert rep["command"] == "split"
     assert rep["config"]["constants"] == fix("split_constants.json")
     assert rep["config"]["budget"] == 128
-    assert rep["config"]["safety"] == 1.05
+    assert "safety" not in rep["config"]
     assert not {"cmd", "sub", "seed", "out", "csv"} & set(rep["config"])
     assert run([
         "diag", "prop21", "--u", fix("ulist.json"), "--w", fix("wlist.json"),

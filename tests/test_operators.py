@@ -8,6 +8,7 @@ import pytest
 from xplab import (
     BlockProjection,
     BlockSystem,
+    DenseOperator,
     GramProjector,
     SpVector,
     WeightedSpace,
@@ -26,6 +27,7 @@ from xplab import (
     ratio_bounds_check,
     xp_norm,
 )
+from xplab.oracle import brute_opnorm
 
 
 @pytest.fixture
@@ -110,6 +112,22 @@ def test_opnorm_witness_recomputes(pair_projection):
     est = estimate_opnorm(pair_projection, mode="xp", budget=64, seed=2)
     w = est.witness
     assert xp_norm(pair_projection.apply(w)) / xp_norm(w) == pytest.approx(est.lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["xp", "2w"])
+def test_opnorm_bracket_is_certified(mode):
+    for k in range(20):
+        rng = np.random.default_rng([26, k])
+        d = int(rng.integers(1, 6))
+        p = float(rng.uniform(2.1, 8.0))
+        w = rng.uniform(0.05, 2.0, size=d)
+        A = rng.standard_normal((d, d))
+        est = estimate_opnorm(DenseOperator(WeightedSpace(p, tuple(w)), A), mode=mode, budget=32)
+        # the 2w bracket closes, so lower may sit an ulp above upper
+        assert est.lower <= est.upper * (1 + 1e-12)
+        assert brute_opnorm(A, w, p, mode=mode) <= est.upper * (1 + 1e-9)
+        if mode == "2w":
+            assert est.lower == pytest.approx(est.upper, rel=1e-12)
 
 
 def test_opnorm_rejects_bad_mode(pair_projection):
