@@ -28,7 +28,7 @@ from .criteria import (
     prop21_diagnostic,
 )
 from .experiments import DRIVERS, run_experiment
-from .operators import BlockProjection, estimate_opnorm, prop12_bound
+from .operators import BlockProjection, estimate_opnorm, opnorm_upper, prop12_bound
 from .report import Report, csv_rows
 from .serialize import (
     SerializationError,
@@ -143,8 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", required=True, help="inline JSON or a path")
     p.add_argument("--projection", required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--budget", type=int, default=128)
-    common(p, seed=True)
+    common(p)
 
     p = sub.add_parser("check", help="criterion checkers")
     csub = p.add_subparsers(dest="sub", required=True)
@@ -300,9 +299,9 @@ def _cmd_split(args, seed):
         normP = cdoc.get("normP")
         normP2 = cdoc.get("normP2")
         if normP is None:
-            normP = estimate_opnorm(op, mode="xp", budget=args.budget, seed=seed).upper
+            normP = opnorm_upper(op, "xp")
         if normP2 is None:
-            normP2 = estimate_opnorm(op, mode="2w", budget=args.budget, seed=seed).upper
+            normP2 = opnorm_upper(op, "2w")
         consts = solve_constants(cdoc["delta"], cdoc["c"], cdoc["eps"], normP, normP2, x.space.p)
     res = split(x, args.N, consts, op)
     return res.checks, res.to_dict()

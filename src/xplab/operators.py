@@ -5,7 +5,7 @@ constants (delta, c); its projection sends x to the sum of functional values
 times block vectors and is bounded by max(1/delta, c) in the space norm for
 systems of unit blocks. A Gram projector is the orthogonal projection onto a
 finite span in the weighted inner product. An operator norm comes as a
-certified bracket [lower, upper]: closed in the 2w norm (one SVD), and in the
+certified bracket [lower, upper]: closed in the 2w norm (an SVD), and in the
 xp norm a sampled witness under a computed bound, since exact p->p norms are
 NP-hard to approximate. Ratio extrema over spans are estimated by seeded
 sphere sampling plus coordinate ascent; a dense-grid oracle for small
@@ -47,6 +47,7 @@ __all__ = [
     "ratio_bounds_check",
     "gram_project",
     "estimate_opnorm",
+    "opnorm_upper",
     "estimate_r_sup",
     "estimate_h_inf",
     "prop26_chain",
@@ -360,6 +361,46 @@ def _resolve_operator(op) -> DenseOperator:
     return as_op()
 
 
+def _weighted(op, mode: str) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
+    """The window operator, its weights and W A W^-1, whose spectral norm is the 2w norm."""
+    if mode not in ("xp", "2w"):
+        raise ValueError(f"unknown operator norm mode {mode!r}")
+    dense = _resolve_operator(op)
+    w = window_weights(dense.space, dense.window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = dense.matrix * w[:, None] / w[None, :]
+    if not np.all(np.isfinite(M)):
+        raise _out_of_range(mode)
+    return dense, w, M
+
+
+def _out_of_range(mode: str) -> ValueError:
+    return ValueError(f"the {mode} operator norm is not finite in double precision")
+
+
+def opnorm_upper(op, mode: str = "xp") -> float:
+    """Certified upper bound on an operator norm in mode "xp" or "2w".
+
+    2w: sigma_max(W A W^-1), the norm itself. xp: max(||A||_1^(1/p)
+    ||A||_inf^(1-1/p) (Riesz-Thorin), 2w norm), capped for a normalized block
+    projection by max(1/delta, c) (1 + NORM_TOL), the factor covering blocks
+    whose xp norm is 1 only to within NORM_TOL. A bound outside the double
+    range raises ValueError.
+    """
+    dense, _, M = _weighted(op, mode)
+    upper = float(np.linalg.norm(M, 2))
+    if mode == "xp":
+        A, p = dense.matrix, dense.space.p
+        with np.errstate(over="ignore"):
+            n1, ninf = np.linalg.norm(A, 1), np.linalg.norm(A, np.inf)
+        upper = max(float(n1 ** (1 / p) * ninf ** (1 - 1 / p)), upper)  # Riesz-Thorin
+        if isinstance(op, BlockProjection) and op.system.normalized:
+            upper = min(upper, prop12_bound(op.system) * (1.0 + NORM_TOL))
+    if not math.isfinite(upper):
+        raise _out_of_range(mode)
+    return upper
+
+
 def estimate_opnorm(
     op,
     mode: str = "xp",
@@ -369,51 +410,43 @@ def estimate_opnorm(
 ) -> OpNormEstimate:
     """Certified bracket [lower, upper] on an operator norm in mode "xp" or "2w".
 
-    lower is the witness's norm ratio recomputed through op.apply. 2w: the
-    witness is W^-1 v for the top right singular vector v of W A W^-1, whose
-    top singular value is upper. xp: budget seeded sphere directions
-    (reproducible, monotone in budget) are polished by coordinate ascent, and
-    upper is max(||A||_1^(1/p) ||A||_inf^(1-1/p) (Riesz-Thorin), 2w norm),
-    capped by max(1/delta, c) for a normalized block projection. A nonzero
-    norm outside the double range raises ValueError.
+    upper is :func:`opnorm_upper`; lower is the witness's norm ratio
+    recomputed through op.apply. 2w: the witness is W^-1 v for the top right
+    singular vector v of W A W^-1, so the bracket closes. xp: budget seeded
+    sphere directions (reproducible, monotone in budget) are polished by
+    coordinate ascent. A nonzero norm outside the double range raises
+    ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if mode not in ("xp", "2w"):
-        raise ValueError(f"unknown operator norm mode {mode!r}")
-    dense = _resolve_operator(op)
-    A = dense.matrix
-    w = window_weights(dense.space, dense.window)
+    upper = opnorm_upper(op, mode)
+    dense, w, M = _weighted(op, mode)
     p = dense.space.p
-    M = A * w[:, None] / w[None, :]  # W A W^-1: its spectral norm is the 2w norm
     if mode == "2w":
-        _, s, Vt = np.linalg.svd(M)
-        col, upper = Vt[0] / w, float(s[0])
+        col = np.linalg.svd(M)[2][0] / w
     else:
         X = _sample_columns(len(dense.window), int(budget), int(seed))
 
         def objective(Xc):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 den = col_norm(Xc, w, p, mode)
-                num = col_norm(A @ Xc, w, p, mode)
+                num = col_norm(dense.matrix @ Xc, w, p, mode)
                 return np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
 
         X, f = _ascend(objective, X, rounds)
         col = X[:, int(np.argmax(f))]
         col = col / col_norm(col[:, None], w, p, mode)[0]
-        riesz_thorin = np.linalg.norm(A, 1) ** (1 / p) * np.linalg.norm(A, np.inf) ** (1 - 1 / p)
-        upper = max(float(riesz_thorin), float(np.linalg.norm(M, 2)))
-        if isinstance(op, BlockProjection) and op.system.normalized:
-            upper = min(upper, prop12_bound(op.system))
+    if not np.all(np.isfinite(col)):
+        raise _out_of_range(mode)
     norm = xp_norm if mode == "xp" else norm_2w
+    witness = SpVector(dense.space, dict(zip(dense.window.tolist(), col.tolist())))
     try:
-        witness = SpVector(dense.space, dict(zip(dense.window.tolist(), col.tolist())))
-        lower = norm(dense.apply(witness)) / norm(witness)
-    except (OverflowError, ValueError):
-        lower = math.inf
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise ValueError(f"the {mode} operator norm is not finite in double precision")
-    return OpNormEstimate(lower, upper, witness)
+        num, den = norm(dense.apply(witness)), norm(witness)
+    except OverflowError:
+        raise _out_of_range(mode) from None
+    if den == 0.0:
+        raise _out_of_range(mode)
+    return OpNormEstimate(num / den, upper, witness)
 
 
 def _span_matrix(V: Sequence[SpVector]):

@@ -244,12 +244,13 @@ def doc_to_operator(doc: dict):
     if kind == "matrix":
         window = _need(doc, "window", "operator spec")
         matrix = _need(doc, "matrix", "operator spec")
+        bad = SerializationError("field 'matrix' must be rows of finite numbers")
         try:
             matrix = np.asarray(matrix, dtype=float)
         except (TypeError, ValueError):
-            matrix = np.array(np.nan)
+            raise bad from None
         if not np.all(np.isfinite(matrix)):
-            raise SerializationError("field 'matrix' must be rows of finite numbers")
+            raise bad
         try:
             return DenseOperator(space, matrix, tuple(int(i) for i in window))
         except TypeError:

@@ -114,20 +114,52 @@ def test_opnorm_witness_recomputes(pair_projection):
     assert xp_norm(pair_projection.apply(w)) / xp_norm(w) == pytest.approx(est.lower, rel=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["xp", "2w"])
-def test_opnorm_bracket_is_certified(mode):
+def _bracket_cases():
+    """20 seeded dense operators with d <= 5, then 6 normalized one-block projections.
+
+    Each block vector is scaled to an xp norm of 1 + 0.9e-9, inside the tolerance
+    of ``normalized``; its c shrinks by that factor while the projection does not.
+    """
     for k in range(20):
         rng = np.random.default_rng([26, k])
         d = int(rng.integers(1, 6))
         p = float(rng.uniform(2.1, 8.0))
         w = rng.uniform(0.05, 2.0, size=d)
-        A = rng.standard_normal((d, d))
-        est = estimate_opnorm(DenseOperator(WeightedSpace(p, tuple(w)), A), mode=mode, budget=32)
+        yield DenseOperator(WeightedSpace(p, tuple(w)), rng.standard_normal((d, d))), 32
+    for k in range(6):
+        rng = np.random.default_rng([12, k])
+        d = int(rng.integers(2, 5))
+        sp = WeightedSpace(float(rng.uniform(2.1, 6.0)), tuple(rng.uniform(0.05, 1.5, d)))
+        z = SpVector(sp, {i: float(v) for i, v in enumerate(rng.standard_normal(d), start=1)})
+        E = sorted(int(i) for i in rng.choice(np.arange(1, d + 1), int(rng.integers(1, d + 1)), replace=False))
+        z = z * ((1.0 + 0.9e-9) / xp_norm(z))
+        P = BlockProjection(BlockSystem((make_block(z, E, 1.0, 1.0, require=False),)))
+        assert P.system.normalized
+        yield P, 256
+
+
+@pytest.mark.parametrize("mode", ["xp", "2w"])
+def test_opnorm_bracket_is_certified(mode):
+    for op, budget in _bracket_cases():
+        est = estimate_opnorm(op, mode=mode, budget=budget)
+        dense = op.as_operator()
+        w = np.array([dense.space.weight(int(i)) for i in dense.window])
         # the 2w bracket closes, so lower may sit an ulp above upper
         assert est.lower <= est.upper * (1 + 1e-12)
-        assert brute_opnorm(A, w, p, mode=mode) <= est.upper * (1 + 1e-9)
+        assert brute_opnorm(dense.matrix, w, dense.space.p, mode=mode) <= est.upper * (1 + 1e-9)
         if mode == "2w":
             assert est.lower == pytest.approx(est.upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["xp", "2w"])
+def test_opnorm_keeps_apply_errors(mode):
+    # only an out-of-range norm becomes the "not finite" error
+    def apply_fn(x):
+        raise ValueError("apply refused")
+
+    op = DenseOperator(WeightedSpace(4.0, (1.0, 0.5)), np.eye(2), apply_fn=apply_fn)
+    with pytest.raises(ValueError, match="apply refused"):
+        estimate_opnorm(op, mode=mode, budget=4)
 
 
 def test_opnorm_rejects_bad_mode(pair_projection):
