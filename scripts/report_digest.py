@@ -1,0 +1,102 @@
+"""Write the canonical reports of a fixed list of CLI commands.
+
+Run from anywhere:  python3 scripts/report_digest.py OUTDIR
+
+Every CLI subcommand runs once over the documents in tests/fixtures (opnorm
+on a block, a matrix and a Gram operator in both modes; split with full and
+with {delta, c, eps} constants), then ``batch`` on batch_small.json and the
+eight experiments at seed 0 and scale 0.05. Each report goes to
+OUTDIR/<name>.json and the exit codes to OUTDIR/exit_codes.json. Commands
+run in-process from the repository root with XPLAB_SEED unset, so two trees
+wrote the same reports exactly when ``diff -r`` of their OUTDIRs is empty.
+Like make_fixtures.py, it imports xplab from its own tree.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from xplab.cli import run  # noqa: E402
+from xplab.experiments import DRIVERS  # noqa: E402
+
+FIX = "tests/fixtures"
+
+
+def _fix(name: str) -> str:
+    return f"{FIX}/{name}"
+
+
+def _read(name: str) -> dict:
+    with open(os.path.join(ROOT, FIX, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def commands() -> dict[str, list[str]]:
+    """Report name -> argv, in run order."""
+    N = str(_read("split_args.json")["N"])
+    sc = _read("split_constants.json")
+    ga = _read("gen_args.json")
+    split = ["--x", _fix("split_x.json"), "--projection", _fix("split_projection.json"), "--N", N]
+    cmds = {
+        "norm": ["norm", "--x", _fix("x_pair.json")],
+        "blocks-rosenthal": ["blocks", "rosenthal", "--space", _fix("space_pair.json"), "--I", "1,2"],
+        "blocks-check": ["blocks", "check", "--block", _fix("block_good.json"),
+                         "--space", _fix("space_small.json")],
+        "project": ["project", "--x", _fix("x_pair.json"),
+                    "--projection", _fix("projection_pair.json")],
+    }
+    ops = {"block": "projection_small.json", "matrix": "matrix_identity.json", "gram": "gram_op.json"}
+    for kind, doc in ops.items():
+        for mode in ("xp", "2w"):
+            cmds[f"opnorm-{kind}-{mode}"] = ["opnorm", "--op", _fix(doc), "--mode", mode]
+    cmds["split-full"] = ["split", "--constants", _fix("split_constants.json"), *split]
+    partial = json.dumps({k: sc[k] for k in ("delta", "c", "eps")}, sort_keys=True)
+    cmds["split-partial"] = ["split", "--constants", partial, *split]
+    cmds.update({
+        "check-thm13": ["check", "thm13", "--witness", _fix("witness_good.json")],
+        "check-proof-bounds": ["check", "proof-bounds", "--y", _fix("y_unit.json"), "--F", "1,2",
+                               "--rho", "0.5", "--delta", "0.5"],
+        "check-prop24": ["check", "prop24", "--z", _fix("vlist_span.json"),
+                         "--x-sample", _fix("xsample.json"),
+                         "--eps", "0.9", "--beta", "0.5", "--bprime", "0.1"],
+        "gen-thm13": ["gen", "thm13", "--space", _fix("space_tail.json"), "--eps", str(ga["eps"]),
+                      "--delta", str(ga["delta"]), "--c", str(ga["c"]),
+                      "--count", str(ga["count"])],
+        "classify-kp": ["classify", "kp", "--v", _fix("vlist_span.json"), "--C", "2.0"],
+        "diag-prop21": ["diag", "prop21", "--u", _fix("ulist.json"), "--w", _fix("wlist.json"),
+                        "--projection", _fix("projection_small.json"), "--K", "1.2",
+                        "--window", "2"],
+        "weights-gen": ["weights", "gen", "--family", _fix("family_powerlaw.json"), "--D", "3"],
+        "weights-diag": ["weights", "diag", "--family", _fix("family_doubly.json"), "--eps", "0.9",
+                         "--D-list", "8,16,32", "--p", "4.0"],
+        "batch": ["batch", "--config", _fix("batch_small.json")],
+    })
+    for name in sorted(DRIVERS):
+        cmds[f"experiment-{name}"] = ["experiment", name, "--seed", "0", "--scale", "0.05"]
+    return cmds
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 scripts/report_digest.py OUTDIR", file=sys.stderr)
+        return 1
+    out = os.path.abspath(argv[0])
+    os.makedirs(out, exist_ok=True)
+    os.environ.pop("XPLAB_SEED", None)
+    os.chdir(ROOT)
+    codes = {}
+    for name, cmd in commands().items():
+        codes[name] = run(cmd + ["--out", os.path.join(out, f"{name}.json")])
+    with open(os.path.join(out, "exit_codes.json"), "w", encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

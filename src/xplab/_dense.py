@@ -3,8 +3,11 @@
 The sparse ops in :mod:`xplab.space` are the reference semantics; these
 column-wise kernels exist so estimators and batch experiments can evaluate
 thousands of vectors without per-vector Python overhead. Tests cross-check
-them against the sparse reference. The coordinate search every estimator
-polishes its columns with lives here too.
+them against the sparse reference. A window is a sorted array of 1-based
+indices; the operators of :mod:`xplab.operators` carry one as ``window``
+next to their ``matrix``, and the weights and columns here are laid out
+over it. The coordinate search every estimator polishes its columns with
+lives here too.
 """
 
 from __future__ import annotations

@@ -210,8 +210,8 @@ def holder_bounds(b: Block | RosenthalBlock, x: SpVector) -> HolderBounds:
     return HolderBounds(lhs2, rhs2, lhsp, rhsp, c, bool(admissible), bool(ok2), bool(okp))
 
 
-def extremality_check(space: WeightedSpace, I, x: SpVector, tol: float = 1e-9) -> bool:
-    """True iff ratio(x) <= the extremal ratio of I, within tol.
+def extremality_check(space: WeightedSpace, I, x: SpVector) -> bool:
+    """True iff ratio(x) <= the extremal ratio of I, within 1e-9.
 
     x must be nonzero and supported inside I. The extremal ratio is
     omega(I) ** ((p-2)/2p), attained exactly by the extremal block profile.
@@ -221,4 +221,4 @@ def extremality_check(space: WeightedSpace, I, x: SpVector, tol: float = 1e-9) -
         raise ValueError("extremality undefined for the zero vector")
     if not x.support.issubset(sup):
         raise ValueError("x has support outside I")
-    return ratio(x) <= max_ratio(space, sup) + tol
+    return ratio(x) <= max_ratio(space, sup) + 1e-9

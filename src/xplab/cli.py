@@ -443,7 +443,7 @@ def run(argv) -> int:
         )
         # wall time is measured around the handler but only reported to stderr
         code = _emit(report, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)

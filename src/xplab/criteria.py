@@ -22,7 +22,6 @@ from .operators import (
     estimate_h_inf,
     estimate_opnorm,
     estimate_r_sup,
-    gram_project,
 )
 from .space import (
     NORM_TOL,
@@ -365,14 +364,14 @@ def check_proof_bounds(
     return CriterionReport("proof_bounds", checks, data)
 
 
-def mk_family(K: float, blocks: Sequence[Block], P: BlockProjection, *, form: str = "full") -> dict:
+def mk_family(K: float, blocks: Sequence[Block], P: BlockProjection) -> dict:
     """Partition blocks by whether the functional sees a K-share of the E-mass.
 
     Membership: |f_i(y restricted to E_i)| <= K * |y_E|_2w / |y|_2w. The
     guard-and-implication rows verify that members whose functional value is
     at least 1/2 land in the (1/2K)-share family. Functionals are evaluated
-    in full-support form by default; the restricted form sends every block to
-    exactly 1 and is only useful for the trivial configuration.
+    in full-support form; the restricted form sends every block to exactly 1
+    and is only useful for the trivial configuration.
     """
     K = float(K)
     if K < 0:
@@ -384,7 +383,7 @@ def mk_family(K: float, blocks: Sequence[Block], P: BlockProjection, *, form: st
         if b not in sys_blocks:
             raise ValueError(f"block {i} does not belong to the projection's system")
         yE = restrict(b.vector, b.Eset)
-        f = abs(functional_apply(b, yE, form=form))
+        f = abs(functional_apply(b, yE, form="full"))
         y2 = norm_2w(b.vector)
         yE2 = norm_2w(yE)
         rhs = K * yE2 / y2
@@ -411,7 +410,6 @@ def mk_family(K: float, blocks: Sequence[Block], P: BlockProjection, *, form: st
         )
     return {
         "K": K,
-        "form": form,
         "members": members,
         "rows": rows,
         "implication_ok": all(r["implication_ok"] for r in rows),
@@ -463,7 +461,6 @@ def check_prop24(
     bprime: float,
     *,
     variant: str = "b",
-    budget: int = 192,
     seed: int = 0,
 ) -> CriterionReport:
     """Span floor plus 2w-approximation of every high-ratio sample.
@@ -482,7 +479,7 @@ def check_prop24(
     beta = float(beta)
     bprime = float(bprime)
     Q = GramProjector(Z)
-    h = estimate_h_inf(Z, budget=budget, seed=seed)
+    h = estimate_h_inf(Z, seed=seed)
     checks = [check("span_ratio_floor", h, ">=", bprime)]
     contradictions = []
     rows = []
@@ -491,7 +488,7 @@ def check_prop24(
             raise ValueError(f"sample {k} is zero")
         if x.space != Q.space:
             raise ValueError(f"sample {k} lives in a different space")
-        qx = gram_project(Q, x)
+        qx = Q.apply(x)
         res = x - qx
         d2 = norm_2w(res)
         rx = ratio(x)
@@ -509,7 +506,7 @@ def check_prop24(
             bound = row["bound_b"] if variant == "b" else row["bound_bprime"]
             checks.append(check(f"approx[{k}]", d2, "<", bound))
         if not res.is_zero() and ratio(res) > beta:
-            qres = gram_project(Q, res)
+            qres = Q.apply(res)
             contradictions.append(
                 {
                     "index": k,
@@ -600,8 +597,6 @@ def defect_of(
     x: SpVector,
     Y: Sequence[SpVector],
     *,
-    extra_starts: int = 3,
-    rounds: int = 40,
     seed: int = 0,
 ) -> float:
     """Relative xp-distance from x to span(Y), estimated by multi-start descent.
@@ -629,12 +624,11 @@ def defect_of(
     starts = [np.zeros((k, 1))]
     lsq, *_ = np.linalg.lstsq(B * w[:, None], xcol * w, rcond=None)
     starts.append(lsq[:, None])
-    if extra_starts > 0:
-        cols = np.empty((k, extra_starts))
-        for j in range(extra_starts):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7919, j]))
-            cols[:, j] = rng.standard_normal(k)
-        starts.append(cols)
+    cols = np.empty((k, 3))
+    for j in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7919, j]))
+        cols[:, j] = rng.standard_normal(k)
+    starts.append(cols)
     A0 = np.concatenate(starts, axis=1)
 
     def cost(Ac):
@@ -644,7 +638,7 @@ def defect_of(
     scale = max(float(np.max(np.abs(lsq))), 1.0)
     h0 = 0.25 * scale
     step = np.full(A0.shape[1], h0)
-    _, f = _dense._coordinate_search(cost, A0, step, 1e-12 * max(h0, 1.0), rounds, np.less)
+    _, f = _dense._coordinate_search(cost, A0, step, 1e-12 * max(h0, 1.0), 40, np.less)
     return float(np.min(f)) / denom
 
 
@@ -654,10 +648,8 @@ def defect_experiment(
     samples: int,
     seed: int = 0,
     *,
-    index_range: tuple[int, int] | None = None,
     max_support: int = 8,
     from_span: bool = False,
-    rounds: int = 40,
 ) -> dict:
     """Sample low-ratio vectors and report how far they sit from span(Y).
 
@@ -675,10 +667,6 @@ def defect_experiment(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space = Y[0].space
-    lo, hi = index_range if index_range is not None else (1, space.dim)
-    lo, hi = int(lo), int(hi)
-    if not (1 <= lo <= hi <= space.dim):
-        raise ValueError("index_range outside the space")
     rows = []
     worst = None
     skipped = 0
@@ -691,8 +679,8 @@ def defect_experiment(
                 x = x + float(t) * v
         else:
             size = int(rng.integers(1, max_support + 1))
-            size = min(size, hi - lo + 1)
-            picks = rng.choice(np.arange(lo, hi + 1), size=size, replace=False)
+            size = min(size, space.dim)
+            picks = rng.choice(np.arange(1, space.dim + 1), size=size, replace=False)
             vals = rng.standard_normal(size)
             x = SpVector(space, {int(i): float(v) for i, v in zip(picks, vals)})
         if x.is_zero():
@@ -703,7 +691,7 @@ def defect_experiment(
         if rx >= alpha:
             skipped += 1
             continue
-        d = defect_of(x, Y, seed=seed, rounds=rounds)
+        d = defect_of(x, Y, seed=seed)
         rows.append({"sample": s, "ratio": rx, "defect": d})
         if worst is None or d > worst["defect"]:
             worst = {"sample": s, "ratio": rx, "defect": d, "x": x}

@@ -35,7 +35,6 @@ from .operators import (
     GramProjector,
     estimate_h_inf,
     estimate_opnorm,
-    gram_project,
     prop12_bound,
     prop26_chain,
     ratio_bounds_check,
@@ -172,8 +171,8 @@ def run_projection_bound(
     windows_bad = 0
     for k in range(int(systems)):
         sysm, rng = _random_system(seed, k)
-        op = BlockProjection(sysm).as_operator()
-        M, idx = op.matrix, list(op.window)
+        P = BlockProjection(sysm)
+        M, idx = P.matrix, P.window
         sp = sysm.space
         w = window_weights(sp, idx)
         bound = prop12_bound(sysm)
@@ -466,7 +465,7 @@ def run_gram_chains(spans: int = 100, per_span: int = 100, seed: int = 0) -> Cri
             x = SpVector(sp, {int(i): float(v) for i, v in zip(xi, rng.standard_normal(6))})
             if x.is_zero():
                 continue
-            qx = gram_project(Q, x)
+            qx = Q.apply(x)
             lhs = norm_2w(x) ** 2
             rhs = norm_2w(qx) ** 2 + norm_2w(x - qx) ** 2
             pyth_worst = max(pyth_worst, abs(lhs - rhs) / max(lhs, 1.0))

@@ -10,12 +10,19 @@ xp norm a sampled witness under a computed bound, since exact p->p norms are
 NP-hard to approximate. Ratio extrema over spans are estimated by seeded
 sphere sampling plus coordinate ascent; a dense-grid oracle for small
 dimensions lives in :mod:`xplab.oracle`.
+
+Every operator here shares one protocol: ``space``, ``window`` (the sorted
+1-based indices it reads and writes), ``matrix`` (its dense action on the
+window) and ``apply(x)``. The projections build ``matrix`` on first use,
+after the ``DENSE_WINDOW_CAP`` check; ``apply`` stays sparse and works on
+windows of any size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +49,8 @@ __all__ = [
     "GramProjector",
     "DenseOperator",
     "OpNormEstimate",
-    "project",
     "prop12_bound",
     "ratio_bounds_check",
-    "gram_project",
     "estimate_opnorm",
     "opnorm_upper",
     "estimate_r_sup",
@@ -58,6 +63,11 @@ __all__ = [
 DENSE_WINDOW_CAP = 4096
 
 GRAM_COND_GUARD = 1e12
+
+
+def _check_cap(d: int) -> None:
+    if d > DENSE_WINDOW_CAP:
+        raise ValueError(f"window of {d} exceeds dense cap {DENSE_WINDOW_CAP}")
 
 
 @dataclass(frozen=True)
@@ -137,17 +147,19 @@ class BlockProjection:
     def space(self) -> WeightedSpace:
         return self.system.space
 
-    def apply(self, x: SpVector) -> SpVector:
-        return project(self, x)
+    @cached_property
+    def window(self) -> np.ndarray:
+        return union_window([b.vector for b in self.system.blocks])
 
-    def as_operator(self) -> "DenseOperator":
-        sys = self.system
-        idx = union_window([b.vector for b in sys.blocks])
-        pos = {int(i): k for k, i in enumerate(idx)}
-        w = window_weights(sys.space, idx)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        idx = self.window
         d = len(idx)
+        _check_cap(d)
+        pos = {int(i): k for k, i in enumerate(idx)}
+        w = window_weights(self.space, idx)
         M = np.zeros((d, d))
-        for b in sys.blocks:
+        for b in self.system.blocks:
             core = b.core()
             denom = norm_2w(core) ** 2
             zcol = np.zeros(d)
@@ -157,26 +169,25 @@ class BlockProjection:
             for i, v in core.entries.items():
                 frow[pos[i]] = v * w[pos[i]] ** 2 / denom
             M += np.outer(zcol, frow)
-        return DenseOperator(sys.space, M, idx, apply_fn=self.apply)
+        return M
 
+    def apply(self, x: SpVector) -> SpVector:
+        """Apply the block projection to x.
 
-def project(P: BlockProjection, x: SpVector) -> SpVector:
-    """Apply the block projection to x.
-
-    Fixes every block vector and is idempotent: the functionals are
-    biorthogonal to the blocks because supports are pairwise disjoint and
-    each functional reads only its own E-set.
-    """
-    if x.space != P.space:
-        raise ValueError("x lives in a different space than the projection")
-    acc: dict[int, float] = {}
-    for b in P.system.blocks:
-        t = functional_apply(b, x, form="restricted")
-        if t == 0.0:
-            continue
-        for i, v in b.vector.entries.items():
-            acc[i] = acc.get(i, 0.0) + t * v
-    return SpVector(P.space, acc)
+        Fixes every block vector and is idempotent: the functionals are
+        biorthogonal to the blocks because supports are pairwise disjoint and
+        each functional reads only its own E-set.
+        """
+        if x.space != self.space:
+            raise ValueError("x lives in a different space than the projection")
+        acc: dict[int, float] = {}
+        for b in self.system.blocks:
+            t = functional_apply(b, x, form="restricted")
+            if t == 0.0:
+                continue
+            for i, v in b.vector.entries.items():
+                acc[i] = acc.get(i, 0.0) + t * v
+        return SpVector(self.space, acc)
 
 
 def prop12_bound(sys: BlockSystem) -> float:
@@ -218,7 +229,7 @@ class GramProjector:
     guard of 1e12; a basis too close to dependent is rejected outright.
     """
 
-    def __init__(self, basis: Sequence[SpVector], cond_guard: float = GRAM_COND_GUARD):
+    def __init__(self, basis: Sequence[SpVector]):
         basis = tuple(basis)
         if not basis:
             raise ValueError("gram projector needs a nonempty basis")
@@ -229,21 +240,30 @@ class GramProjector:
             raise ValueError("basis vectors must be nonzero")
         self.basis = basis
         self.space = space
-        self.window = union_window(basis)
         self._B = vectors_to_cols(basis, self.window)
         self._w = window_weights(space, self.window)
         G = (self._B * (self._w**2)[:, None]).T @ self._B
         cond = float(np.linalg.cond(G))
-        if not math.isfinite(cond) or cond > cond_guard:
+        if not math.isfinite(cond) or cond > GRAM_COND_GUARD:
             raise ValueError(
-                f"gram matrix condition number {cond:.3g} exceeds guard {cond_guard:.3g}"
+                f"gram matrix condition number {cond:.3g} exceeds guard {GRAM_COND_GUARD:.3g}"
             )
         try:
             self._L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"gram matrix is not positive definite: {exc}") from exc
-        self._G = G
         self._opnorm_memo: dict = {}
+
+    @cached_property
+    def window(self) -> np.ndarray:
+        return union_window(self.basis)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        _check_cap(len(self.window))
+        rhs_map = self._B.T * (self._w**2)[None, :]
+        coeff = np.linalg.solve(self._L.T, np.linalg.solve(self._L, rhs_map))
+        return self._B @ coeff
 
     def coefficients(self, x: SpVector) -> np.ndarray:
         rhs = np.array([inner(b, x) for b in self.basis])
@@ -251,6 +271,9 @@ class GramProjector:
         return np.linalg.solve(self._L.T, y)
 
     def apply(self, x: SpVector) -> SpVector:
+        """Project x onto the span in the weighted inner product."""
+        if x.space != self.space:
+            raise ValueError("x lives in a different space than the projector")
         a = self.coefficients(x)
         col = self._B @ a
         return SpVector(
@@ -258,24 +281,11 @@ class GramProjector:
             {int(i): float(v) for i, v in zip(self.window, col) if v != 0.0},
         )
 
-    def as_operator(self) -> "DenseOperator":
-        rhs_map = self._B.T * (self._w**2)[None, :]
-        coeff = np.linalg.solve(self._L.T, np.linalg.solve(self._L, rhs_map))
-        M = self._B @ coeff
-        return DenseOperator(self.space, M, self.window, apply_fn=self.apply)
-
     def opnorm(self, mode: str = "xp", budget: int = 256, seed: int = 0) -> "OpNormEstimate":
         key = (mode, int(budget), int(seed))
         if key not in self._opnorm_memo:
             self._opnorm_memo[key] = estimate_opnorm(self, mode=mode, budget=budget, seed=seed)
         return self._opnorm_memo[key]
-
-
-def gram_project(Q: GramProjector, x: SpVector) -> SpVector:
-    """Project x onto the span in the weighted inner product."""
-    if x.space != Q.space:
-        raise ValueError("x lives in a different space than the projector")
-    return Q.apply(x)
 
 
 class DenseOperator:
@@ -287,30 +297,23 @@ class DenseOperator:
     the whole space is attained on window-supported vectors.
     """
 
-    def __init__(self, space, matrix, window=None, apply_fn=None):
+    def __init__(self, space, matrix, window=None):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
+        _check_cap(len(matrix))
         if window is None:
             window = np.arange(1, matrix.shape[0] + 1)
         window = np.asarray(window, dtype=int)
         if len(window) != matrix.shape[0]:
             raise ValueError("window length must match the matrix size")
-        if len(window) > DENSE_WINDOW_CAP:
-            raise ValueError(f"window of {len(window)} exceeds dense cap {DENSE_WINDOW_CAP}")
         for i in window:
             space.check_index(int(i))
         self.space = space
         self.matrix = matrix
         self.window = window
-        self._apply_fn = apply_fn
-
-    def as_operator(self) -> "DenseOperator":
-        return self
 
     def apply(self, x: SpVector) -> SpVector:
-        if self._apply_fn is not None:
-            return self._apply_fn(x)
         pos = {int(i): k for k, i in enumerate(self.window)}
         col = np.zeros(len(self.window))
         for i, v in x.entries.items():
@@ -352,26 +355,16 @@ def _ascend(objective, X: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarr
     return _dense._coordinate_search(objective, X, 0.5 * scale, 1e-9 * scale, rounds)
 
 
-def _resolve_operator(op) -> DenseOperator:
-    if isinstance(op, DenseOperator):
-        return op
-    as_op = getattr(op, "as_operator", None)
-    if as_op is None:
-        raise TypeError("object does not expose a window operator")
-    return as_op()
-
-
-def _weighted(op, mode: str) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
-    """The window operator, its weights and W A W^-1, whose spectral norm is the 2w norm."""
+def _weighted(op, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The window weights and W A W^-1, whose spectral norm is the 2w norm."""
     if mode not in ("xp", "2w"):
         raise ValueError(f"unknown operator norm mode {mode!r}")
-    dense = _resolve_operator(op)
-    w = window_weights(dense.space, dense.window)
+    w = window_weights(op.space, op.window)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = dense.matrix * w[:, None] / w[None, :]
+        M = op.matrix * w[:, None] / w[None, :]
     if not np.all(np.isfinite(M)):
         raise _out_of_range(mode)
-    return dense, w, M
+    return w, M
 
 
 def _out_of_range(mode: str) -> ValueError:
@@ -387,10 +380,10 @@ def opnorm_upper(op, mode: str = "xp") -> float:
     whose xp norm is 1 only to within NORM_TOL. A bound outside the double
     range raises ValueError.
     """
-    dense, _, M = _weighted(op, mode)
+    _, M = _weighted(op, mode)
     upper = float(np.linalg.norm(M, 2))
     if mode == "xp":
-        A, p = dense.matrix, dense.space.p
+        A, p = op.matrix, op.space.p
         with np.errstate(over="ignore"):
             n1, ninf = np.linalg.norm(A, 1), np.linalg.norm(A, np.inf)
         upper = max(float(n1 ** (1 / p) * ninf ** (1 - 1 / p)), upper)  # Riesz-Thorin
@@ -420,17 +413,17 @@ def estimate_opnorm(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     upper = opnorm_upper(op, mode)
-    dense, w, M = _weighted(op, mode)
-    p = dense.space.p
+    w, M = _weighted(op, mode)
+    p = op.space.p
     if mode == "2w":
         col = np.linalg.svd(M)[2][0] / w
     else:
-        X = _sample_columns(len(dense.window), int(budget), int(seed))
+        X = _sample_columns(len(op.window), int(budget), int(seed))
 
         def objective(Xc):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 den = col_norm(Xc, w, p, mode)
-                num = col_norm(dense.matrix @ Xc, w, p, mode)
+                num = col_norm(op.matrix @ Xc, w, p, mode)
                 return np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
 
         X, f = _ascend(objective, X, rounds)
@@ -439,9 +432,9 @@ def estimate_opnorm(
     if not np.all(np.isfinite(col)):
         raise _out_of_range(mode)
     norm = xp_norm if mode == "xp" else norm_2w
-    witness = SpVector(dense.space, dict(zip(dense.window.tolist(), col.tolist())))
+    witness = SpVector(op.space, dict(zip(op.window.tolist(), col.tolist())))
     try:
-        num, den = norm(dense.apply(witness)), norm(witness)
+        num, den = norm(op.apply(witness)), norm(witness)
     except OverflowError:
         raise _out_of_range(mode) from None
     if den == 0.0:
@@ -468,7 +461,7 @@ def _span_matrix(V: Sequence[SpVector]):
     return space, idx, B, w
 
 
-def _extremize_ratio(V, sense: int, budget: int, seed: int, rounds: int) -> float:
+def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
     space, idx, B, w = _span_matrix(V)
     p = space.p
     k = B.shape[1]
@@ -486,21 +479,21 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int, rounds: int) -> floa
         # dead columns must lose regardless of search direction
         return np.where(den > 0, vals, -np.inf)
 
-    _, fvals = _ascend(objective, A0, rounds)
+    _, fvals = _ascend(objective, A0, 20)
     best = float(np.max(fvals))
     if not np.isfinite(best):
         raise ValueError("ratio extremum search degenerated")
     return sense * best
 
 
-def estimate_r_sup(V: Sequence[SpVector], budget: int = 192, seed: int = 0, rounds: int = 20) -> float:
+def estimate_r_sup(V: Sequence[SpVector], budget: int = 192, seed: int = 0) -> float:
     """Estimated supremum of the 2-vs-p ratio over the unit sphere of span(V)."""
-    return _extremize_ratio(V, +1, budget, seed, rounds)
+    return _extremize_ratio(V, +1, budget, seed)
 
 
-def estimate_h_inf(V: Sequence[SpVector], budget: int = 192, seed: int = 0, rounds: int = 20) -> float:
+def estimate_h_inf(V: Sequence[SpVector], budget: int = 192, seed: int = 0) -> float:
     """Estimated infimum of the 2-vs-p ratio over the unit sphere of span(V)."""
-    return _extremize_ratio(V, -1, budget, seed, rounds)
+    return _extremize_ratio(V, -1, budget, seed)
 
 
 @dataclass(frozen=True)
@@ -535,7 +528,7 @@ def prop26_chain(
     est = Q.opnorm(mode="xp", budget=budget, seed=seed)
     upper = est.upper
     r = ratio(x)
-    lhs = xp_norm(gram_project(Q, x))
+    lhs = xp_norm(Q.apply(x))
     rhs = math.sqrt(upper) * math.sqrt(r) * xp_norm(x) / bprime
     ok = lhs <= rhs * (1.0 + SLACK)
     return ChainResult(lhs, rhs, r, est.lower, upper, bool(ok))

@@ -277,8 +277,8 @@ def witness_to_doc(w: Thm13Witness) -> dict:
     return doc
 
 
-def doc_to_witness(doc: dict, space: WeightedSpace | None = None) -> Thm13Witness:
-    x = doc_to_vector(doc, space)
+def doc_to_witness(doc: dict) -> Thm13Witness:
+    x = doc_to_vector(doc)
     fields = ("E", "N", "c", "delta", "eps", "eps_prime")
     vals = {f: _need(doc, f, "witness document") for f in fields}
     try:

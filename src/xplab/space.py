@@ -10,6 +10,7 @@ primitives defined here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -43,6 +44,8 @@ SLACK = 1e-12
 
 # How far from 1 a vector's space norm may sit and still count as normalized.
 NORM_TOL = 1e-9
+
+_SMALLEST_NORMAL = sys.float_info.min
 
 # Below this, weight powers are accumulated in log space; see omega().
 TINY_WEIGHT = 1e-100
@@ -230,15 +233,6 @@ class SpVector:
     def __neg__(self) -> "SpVector":
         return self * -1.0
 
-    def to_dense(self, upto: int | None = None) -> np.ndarray:
-        """Dense coefficient array over 1..upto (defaults to the space dim)."""
-        n = self.space.dim if upto is None else int(upto)
-        out = np.zeros(n)
-        for i, v in self.entries.items():
-            if i <= n:
-                out[i - 1] = v
-        return out
-
 
 def _same_space(x: SpVector, y: SpVector) -> None:
     if x.space != y.space:
@@ -257,20 +251,47 @@ def from_pairs(space: WeightedSpace, pairs: Iterable[tuple[int, float]]) -> SpVe
     return SpVector(space, out)
 
 
+# The two norms below take the plain power sum whenever it lands in the
+# normal double range. Only a sum that overflows or falls below the smallest
+# normal double (which depends on the exponent) rescales its terms.
+
+
+def _rescaled_root(terms: list[float], q: float) -> float:
+    """(sum of |t| ** q) ** (1/q) with the terms scaled by the largest |t|."""
+    m = max(abs(t) for t in terms)
+    s = math.fsum((abs(t) / m) ** q for t in terms)
+    out = m * (math.sqrt(s) if q == 2.0 else s ** (1.0 / q))
+    if not math.isfinite(out):
+        raise OverflowError("norm exceeds the double range")
+    return out
+
+
 def norm_p(x: SpVector) -> float:
-    """Plain p-norm of the coefficients."""
-    p = x.space.p
+    """Plain p-norm of the coefficients; OverflowError past the double range."""
     if not x.entries:
         return 0.0
-    return math.fsum(abs(v) ** p for v in x.entries.values()) ** (1.0 / p)
+    p = x.space.p
+    try:
+        s = math.fsum(abs(v) ** p for v in x.entries.values())
+    except OverflowError:
+        s = math.inf
+    if _SMALLEST_NORMAL <= s < math.inf:
+        return s ** (1.0 / p)
+    return _rescaled_root(list(x.entries.values()), p)
 
 
 def norm_2w(x: SpVector) -> float:
-    """Weighted 2-norm: coefficients scaled by their weights."""
+    """Weighted 2-norm (coefficients times weights); OverflowError past the double range."""
     if not x.entries:
         return 0.0
     w = x.space.weights
-    return math.sqrt(math.fsum((v * w[i - 1]) ** 2 for i, v in x.entries.items()))
+    try:
+        s = math.fsum((v * w[i - 1]) ** 2 for i, v in x.entries.items())
+    except OverflowError:
+        s = math.inf
+    if _SMALLEST_NORMAL <= s < math.inf:
+        return math.sqrt(s)
+    return _rescaled_root([v * w[i - 1] for i, v in x.entries.items()], 2.0)
 
 
 def xp_norm(x: SpVector) -> float:

@@ -57,6 +57,36 @@ def _positive(name: str, v) -> float:
     return v
 
 
+# One home per formula of the constant system; the solver and the
+# re-check in SplitConstants both read these.
+
+
+def _check_premises(delta: float, normP2: float, p: float) -> None:
+    if not p > 2:
+        raise InfeasibleConstantsError("p must exceed 2")
+    if not delta * normP2 < 1.0:
+        raise InfeasibleConstantsError(
+            f"premise violated: delta = {delta} is not below 1/normP2 = {1.0 / normP2}"
+        )
+
+
+def _beta_cap(delta: float, c: float, eps: float, normP: float, normP2: float) -> float:
+    return min((1.0 - delta * normP2) / normP, eps / c)
+
+
+def _alpha_floor(beta: float, delta: float, normP: float, normP2: float) -> float:
+    # both denominators are positive once beta is below its cap
+    return max(
+        beta * delta * normP2 / (1.0 - beta * normP),
+        beta**2 * normP / (1.0 - delta * normP2),
+    )
+
+
+def _rho_cap(beta: float, delta: float, c: float, p: float) -> float:
+    e = p / (p - 2.0)
+    return min(c**-e * delta ** (2.0 / (p - 2.0)), beta**e)
+
+
 @dataclass(frozen=True)
 class SplitConstants:
     """Solved constants plus the inputs they answer to.
@@ -79,18 +109,12 @@ class SplitConstants:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
-        if not self.p > 2:
-            raise InfeasibleConstantsError("p must exceed 2")
-        if not self.delta * self.normP2 < 1.0:
-            raise InfeasibleConstantsError(
-                f"premise violated: delta = {self.delta} is not below "
-                f"1/normP2 = {1.0 / self.normP2}"
-            )
+        _check_premises(self.delta, self.normP2, self.p)
         if not self.eps_prime < min(self.eps, self.delta * self.alpha):
             raise InfeasibleConstantsError(
                 "eps_prime must be strictly below min(eps, delta*alpha)"
             )
-        beta_cap = min((1.0 - self.delta * self.normP2) / self.normP, self.eps / self.c)
+        beta_cap = _beta_cap(self.delta, self.c, self.eps, self.normP, self.normP2)
         if not self.beta < beta_cap:
             raise InfeasibleConstantsError(
                 f"beta = {self.beta} must be strictly below {beta_cap}"
@@ -107,15 +131,10 @@ class SplitConstants:
             raise InfeasibleConstantsError("beta must exceed alpha")
 
     def alpha_floor(self) -> float:
-        # both denominators are positive once beta clears its cap check
-        return max(
-            self.beta * self.delta * self.normP2 / (1.0 - self.beta * self.normP),
-            self.beta**2 * self.normP / (1.0 - self.delta * self.normP2),
-        )
+        return _alpha_floor(self.beta, self.delta, self.normP, self.normP2)
 
     def rho_cap(self) -> float:
-        e = self.p / (self.p - 2.0)
-        return min(self.c**-e * self.delta ** (2.0 / (self.p - 2.0)), self.beta**e)
+        return _rho_cap(self.beta, self.delta, self.c, self.p)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,22 +153,13 @@ def solve_constants(
     delta, c, eps = _positive("delta", delta), _positive("c", c), _positive("eps", eps)
     normP, normP2 = _positive("normP", normP), _positive("normP2", normP2)
     p = float(p)
-    if not p > 2:
-        raise InfeasibleConstantsError("p must exceed 2")
-    if not delta * normP2 < 1.0:
-        raise InfeasibleConstantsError(
-            f"premise violated: delta = {delta} is not below 1/normP2 = {1.0 / normP2}"
-        )
-    beta = 0.5 * min((1.0 - delta * normP2) / normP, eps / c)
+    _check_premises(delta, normP2, p)
+    beta = 0.5 * _beta_cap(delta, c, eps, normP, normP2)
     for _ in range(_MAX_HALVINGS):
-        floor = max(
-            beta * delta * normP2 / (1.0 - beta * normP),
-            beta**2 * normP / (1.0 - delta * normP2),
-        )
+        floor = _alpha_floor(beta, delta, normP, normP2)
         if floor < beta:
             alpha = 0.5 * (floor + beta)
-            e = p / (p - 2.0)
-            rho = min(c**-e * delta ** (2.0 / (p - 2.0)), beta**e)
+            rho = _rho_cap(beta, delta, c, p)
             eps_prime = 0.5 * min(eps, delta * alpha)
             return SplitConstants(
                 delta, c, eps, normP, normP2, p, alpha, beta, rho, eps_prime

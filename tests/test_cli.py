@@ -39,6 +39,40 @@ def test_norm_stdout(fix, capsys):
     assert rep["data"]["norm_2w"] == pytest.approx(1.25 ** 0.5, rel=1e-14)
 
 
+def _norm_report(entries, tmp_path, out):
+    path = str(tmp_path / "x.json")
+    with open(path, "w") as fh:
+        json.dump({"p": 4, "weights": [1, 1], "entries": entries}, fh)
+    code = run(["norm", "--x", path, "--out", out])
+    return code, (_read(out)["data"] if code == 0 else None)
+
+
+def test_norm_of_a_huge_entry(tmp_path, out):
+    code, data = _norm_report([[1, 1e100]], tmp_path, out)
+    assert code == 0
+    assert (data["norm_p"], data["norm_2w"], data["xp_norm"]) == (1e100, 1e100, 1e100)
+    assert data["ratio"] == 1.0
+
+
+def test_norm_of_two_huge_entries(tmp_path, out):
+    code, data = _norm_report([[1, 1e200], [2, 1e200]], tmp_path, out)
+    assert code == 0
+    assert data["norm_p"] == 1e200 * 2.0 ** 0.25
+    assert data["norm_2w"] == data["xp_norm"] == 1e200 * 2.0 ** 0.5
+
+
+def test_norm_of_a_tiny_entry(tmp_path, out):
+    code, data = _norm_report([[1, 1e-90]], tmp_path, out)
+    assert code == 0
+    assert (data["norm_p"], data["norm_2w"], data["ratio"]) == (1e-90, 1e-90, 1.0)
+
+
+def test_norm_past_the_double_range_is_error(tmp_path, out, capsys):
+    code, _ = _norm_report([[1, 1.7e308], [2, 1.7e308]], tmp_path, out)
+    assert code == 1
+    assert "double range" in _single_error(capsys)
+
+
 def test_blocks_rosenthal(fix, out):
     assert run(["blocks", "rosenthal", "--space", fix("space_pair.json"), "--I", "1,2", "--out", out]) == 0
     blk = _read(out)["data"]["block"]
@@ -85,12 +119,19 @@ def test_opnorm_fields_and_determinism(fix, out, tmp_path):
 @pytest.mark.parametrize("mode", ["xp", "2w"])
 def test_opnorm_out_of_range_is_error_and_zero_is_closed(fix, mode, tmp_path, out, capsys):
     doc = _read(fix("matrix_identity.json"))
-    doc["matrix"] = [[1e308, 0.0], [0.0, 1.0]]
+    doc["matrix"] = [[1e308, 1e308], [1e308, 1e308]]  # norm at least 2e308
     path = str(tmp_path / "op.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
     assert run(["opnorm", "--op", path, "--mode", mode]) == 1
     assert "not finite" in _single_error(capsys)
+    # a norm of 1e308 is in range: the scale-safe norms bracket it
+    doc["matrix"] = [[1e308, 0.0], [0.0, 1.0]]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run(["opnorm", "--op", path, "--mode", mode, "--out", out]) == 0
+    data = _read(out)["data"]
+    assert 0.0 < data["lower"] <= data["upper"] == 1e308
     doc["matrix"] = [[0.0, 0.0], [0.0, 0.0]]
     with open(path, "w") as fh:
         json.dump(doc, fh)

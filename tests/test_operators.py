@@ -1,6 +1,7 @@
 """Block projections, gram projections, and sampled extremum estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from xplab import (
     ratio_bounds_check,
     xp_norm,
 )
+from xplab.operators import DENSE_WINDOW_CAP
 from xplab.oracle import brute_opnorm
 
 
@@ -142,11 +144,10 @@ def _bracket_cases():
 def test_opnorm_bracket_is_certified(mode):
     for op, budget in _bracket_cases():
         est = estimate_opnorm(op, mode=mode, budget=budget)
-        dense = op.as_operator()
-        w = np.array([dense.space.weight(int(i)) for i in dense.window])
+        w = np.array([op.space.weight(int(i)) for i in op.window])
         # the 2w bracket closes, so lower may sit an ulp above upper
         assert est.lower <= est.upper * (1 + 1e-12)
-        assert brute_opnorm(dense.matrix, w, dense.space.p, mode=mode) <= est.upper * (1 + 1e-9)
+        assert brute_opnorm(op.matrix, w, op.space.p, mode=mode) <= est.upper * (1 + 1e-9)
         if mode == "2w":
             assert est.lower == pytest.approx(est.upper, rel=1e-12)
 
@@ -154,10 +155,11 @@ def test_opnorm_bracket_is_certified(mode):
 @pytest.mark.parametrize("mode", ["xp", "2w"])
 def test_opnorm_keeps_apply_errors(mode):
     # only an out-of-range norm becomes the "not finite" error
-    def apply_fn(x):
-        raise ValueError("apply refused")
+    class Refusing(DenseOperator):
+        def apply(self, x):
+            raise ValueError("apply refused")
 
-    op = DenseOperator(WeightedSpace(4.0, (1.0, 0.5)), np.eye(2), apply_fn=apply_fn)
+    op = Refusing(WeightedSpace(4.0, (1.0, 0.5)), np.eye(2))
     with pytest.raises(ValueError, match="apply refused"):
         estimate_opnorm(op, mode=mode, budget=4)
 
@@ -260,11 +262,45 @@ def test_block_system_rejects_overlap(pair_space):
         BlockSystem((make_block(z1, [1], 1.0, 1.0), make_block(z2, [1, 2], 0.3, 5.0)))
 
 
-def test_as_operator_matches_apply(pair_projection, x_pair):
-    dense = pair_projection.as_operator()
-    M, idx = dense.matrix, dense.window
-    xs = np.array([x_pair.entries.get(int(i), 0.0) for i in idx])
-    out = M @ xs
-    px = pair_projection.apply(x_pair)
-    for k, i in enumerate(idx):
-        assert out[k] == pytest.approx(px.entries.get(int(i), 0.0), abs=1e-14)
+def _window_operators(pair_space):
+    """One operator of each kind: a block projection, a Gram projector, a dense matrix."""
+    z = SpVector(pair_space, {1: 1.0, 2: 0.5})
+    sp = WeightedSpace(4.0, (1.0, 0.9, 0.8, 0.7))
+    return {
+        "block": BlockProjection(BlockSystem((make_block(z, [1, 2], 1.0, 1.0),))),
+        "gram": GramProjector([SpVector(sp, {1: 1.0, 3: -0.4}), SpVector(sp, {2: 0.8, 3: 0.3})]),
+        "dense": DenseOperator(sp, np.arange(9.0).reshape(3, 3) - 4.0, (1, 2, 4)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["block", "gram", "dense"])
+def test_matrix_matches_apply(pair_space, kind):
+    op = _window_operators(pair_space)[kind]
+    for j, i in enumerate(op.window):
+        col = op.apply(basis_vector(op.space, int(i)))
+        want = np.array([col[int(k)] for k in op.window])
+        assert op.matrix[:, j] == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_dense_window_cap_comes_before_the_matrix():
+    # 4097 indices: one past the cap; apply stays sparse and still works
+    d = DENSE_WINDOW_CAP + 1
+    sp = WeightedSpace(4.0, tuple([1.0] * d))
+    z = SpVector(sp, {i: 1.0 for i in range(1, d + 1)})
+    P = BlockProjection(BlockSystem((make_block(z, list(range(1, d + 1)), 1.0, 1.0, require=False),)))
+    Q = GramProjector([z, basis_vector(sp, 1)])
+    x = basis_vector(sp, 2)
+    for op in (P, Q):
+        assert len(op.window) == d
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceeds dense cap {DENSE_WINDOW_CAP}"):
+                estimate_opnorm(op, mode="xp", budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * d // 16  # nothing near a d x d array of doubles
+        assert "matrix" not in vars(op)
+        assert not op.apply(x).is_zero()
+    with pytest.raises(ValueError, match="exceeds dense cap"):
+        DenseOperator(sp, np.zeros((d, d)))
