@@ -7,7 +7,9 @@ them against the sparse reference. A window is a sorted array of 1-based
 indices; the operators of :mod:`xplab.operators` carry one as ``window``
 next to their ``matrix``, and the weights and columns here are laid out
 over it. The coordinate search every estimator polishes its columns with
-lives here too.
+lives here too. It searches over affine images c + M X of the columns and
+carries them with their power sums, so a step on one coordinate recomputes
+only the image rows that the step touches.
 """
 
 from __future__ import annotations
@@ -67,33 +69,79 @@ def union_window(vectors) -> np.ndarray:
 
 
 def _coordinate_search(
-    objective, X: np.ndarray, h: np.ndarray, stop, rounds: int, better=np.greater
+    score, images, w: np.ndarray, p: float, X: np.ndarray, h: np.ndarray, stop, rounds: int,
+    better=np.greater,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column coordinate search of objective(X) -> per-column values.
+    """Per-column coordinate search over affine images of X.
 
-    Each round tries +h and -h on every coordinate and keeps a step wherever
-    ``better(new, old)`` holds; a column's step halves after a round without
-    gain, and the search ends once every step is below ``stop``. Columns are
-    independent, so results match a sequential per-column run. Maximizes by
+    Each image is a pair (M, c) standing for Y = c + M @ X on the window whose
+    weights are w; ``score(Sp, S2)`` maps the column sums of |Y|^p and of
+    (w Y)^2, one row per image, to per-column values. Each round visits every
+    coordinate i once and scores X[i], X[i] + h and X[i] - h together: it
+    keeps +h where ``better(new, current)`` holds, else -h where that holds. A
+    column's step halves after a round without gain, and the search ends once
+    every step is below ``stop``. Columns are independent. Maximizes by
     default; pass ``better=np.less`` to minimize. X is not modified.
+
+    The search carries every Y and its sums, and a step on coordinate i
+    recomputes only the rows where M[:, i] != 0: their p-th powers at the
+    three points, and the change of the (w Y)^2 sums in closed form. Y and the sums are
+    recomputed from scratch at the start of every round and on return, so
+    roundoff cannot build up and the returned values are exact evaluations
+    at the returned X.
     """
     d, n = X.shape
+    m = len(w)
+    images = [
+        (np.asarray(M, dtype=float), np.broadcast_to(np.asarray(c, dtype=float), (m,))[:, None])
+        for M, c in images
+    ]
+    J = len(images)
+    M_all = np.concatenate([M for M, _ in images])
+    c_all = np.concatenate([c for _, c in images])
+    w_all = np.tile(w, J)
+    own = (np.repeat(np.arange(J), m) == np.arange(J)[:, None]).astype(float)  # image of a row
     X = X.copy()
-    f = objective(X)
     h = h.copy()
-    for _ in range(rounds):
-        improved = np.zeros(n, dtype=bool)
+    H = np.zeros((3, n))  # the steps 0, +h and -h
+    S = np.empty((J, 2, n))  # per image: the sums of |Y|^p and of (w Y)^2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        touched = []
         for i in range(d):
-            for s in (1.0, -1.0):
-                Xc = X.copy()
-                Xc[i, :] += s * h
-                fc = objective(Xc)
-                gain = better(fc, f)
-                if np.any(gain):
-                    X[i, gain] = Xc[i, gain]
-                    f[gain] = fc[gain]
-                    improved |= gain
-        h[~improved] *= 0.5
-        if np.all(h < stop):
-            break
-    return X, f
+            R = np.flatnonzero(M_all[:, i])
+            col, wr, own_r = M_all[R, i], w_all[R], own[:, R]
+            # a step t on X[i] moves the (w Y)^2 sums by t 2 (w^2 M[:, i]).Y + t^2 |w M[:, i]|^2
+            lin, quad = own_r * (2 * wr**2 * col), own_r @ (wr * col) ** 2
+            touched.append((R, col[:, None], col[:, None, None], own_r, lin, quad[:, None, None]))
+        for _ in range(rounds):
+            Y = c_all + M_all @ X
+            np.matmul(own, np.abs(Y) ** p, out=S[:, 0])
+            np.matmul(own, (w_all[:, None] * Y) ** 2, out=S[:, 1])
+            H[1] = h
+            np.negative(h, out=H[2])
+            Hsq = H * H
+            improved = np.zeros(n, dtype=bool)
+            for i, (R, col, col3, own_r, lin, quad) in enumerate(touched):
+                Yr = Y[R]
+                St = np.empty((J, 2, 3, n))  # S at the three steps
+                P = np.abs(Yr[:, None, :] + col3 * H) ** p
+                sums = (own_r @ P.reshape(len(P), 3 * n)).reshape(J, 3, n)
+                np.add(S[:, :1], sums - sums[:, :1], out=St[:, 0])
+                np.add(S[:, 1:] + (lin @ Yr)[:, None, :] * H, quad * Hsq, out=St[:, 1])
+                f = score(St[:, 0], St[:, 1])
+                gain = better(f[1:], f[0])
+                if not gain.any():
+                    continue
+                up, down = gain
+                step = np.where(up, h, np.where(down, -h, 0.0))
+                X[i] += step
+                Y[R] = Yr + col * step
+                S = np.where(up, St[:, :, 1], np.where(down, St[:, :, 2], S))
+                improved |= up | down
+            h *= np.where(improved, 1.0, 0.5)
+            if (h < stop).all():
+                break
+        Ys = [c + M @ X for M, c in images]
+        Sp = np.array([np.sum(np.abs(Y) ** p, axis=0) for Y in Ys])
+        S2 = np.array([np.sum((w[:, None] * Y) ** 2, axis=0) for Y in Ys])
+        return X, score(Sp, S2)

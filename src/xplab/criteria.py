@@ -631,14 +631,15 @@ def defect_of(
     starts.append(cols)
     A0 = np.concatenate(starts, axis=1)
 
-    def cost(Ac):
-        D = xcol[:, None] - B @ Ac
-        return col_norm(D, w, p, "xp")
+    def cost(Sp, S2):
+        return np.maximum(Sp[0] ** (1 / p), np.sqrt(S2[0]))  # xp norm of x - B a
 
     scale = max(float(np.max(np.abs(lsq))), 1.0)
     h0 = 0.25 * scale
     step = np.full(A0.shape[1], h0)
-    _, f = _dense._coordinate_search(cost, A0, step, 1e-12 * max(h0, 1.0), 40, np.less)
+    _, f = _dense._coordinate_search(
+        cost, [(-B, xcol)], w, p, A0, step, 1e-12 * max(h0, 1.0), 40, np.less
+    )
     return float(np.min(f)) / denom
 
 

@@ -7,9 +7,10 @@ systems of unit blocks. A Gram projector is the orthogonal projection onto a
 finite span in the weighted inner product. An operator norm comes as a
 certified bracket [lower, upper]: closed in the 2w norm (an SVD), and in the
 xp norm a sampled witness under a computed bound, since exact p->p norms are
-NP-hard to approximate. Ratio extrema over spans are estimated by seeded
-sphere sampling plus coordinate ascent; a dense-grid oracle for small
-dimensions lives in :mod:`xplab.oracle`.
+NP-hard to approximate. That witness and the ratio extrema over spans come
+from seeded sphere sampling plus a coordinate ascent that carries the images
+(x and A x, or B a) and updates only the rows each step touches; a dense-grid
+oracle for small dimensions lives in :mod:`xplab.oracle`.
 
 Every operator here shares one protocol: ``space``, ``window`` (the sorted
 1-based indices it reads and writes), ``matrix`` (its dense action on the
@@ -349,10 +350,10 @@ def _sample_columns(d: int, budget: int, seed: int) -> np.ndarray:
     return cols
 
 
-def _ascend(objective, X: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate ascent of a scale-invariant objective, steps relative to each column."""
+def _ascend(score, images, w, p, X: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate ascent of a scale-invariant score, steps relative to each column."""
     scale = np.maximum(np.max(np.abs(X), axis=0), 1e-12)
-    return _dense._coordinate_search(objective, X, 0.5 * scale, 1e-9 * scale, rounds)
+    return _dense._coordinate_search(score, images, w, p, X, 0.5 * scale, 1e-9 * scale, rounds)
 
 
 def _weighted(op, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -418,15 +419,20 @@ def estimate_opnorm(
     if mode == "2w":
         col = np.linalg.svd(M)[2][0] / w
     else:
-        X = _sample_columns(len(op.window), int(budget), int(seed))
+        d = len(op.window)
+        X = _sample_columns(d, int(budget), int(seed))
+        A = op.matrix
+        top = np.max(np.abs(A))
+        with np.errstate(over="ignore"):
+            if top > 0 and not np.finfo(float).tiny < top**p * d < np.inf:
+                # the ratio is homogeneous in A: search on A 2^-k, whose power sums stay finite
+                A = np.ldexp(A, -np.frexp(top)[1])
 
-        def objective(Xc):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                den = col_norm(Xc, w, p, mode)
-                num = col_norm(op.matrix @ Xc, w, p, mode)
-                return np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
+        def score(Sp, S2):
+            norms = np.maximum(Sp ** (1 / p), np.sqrt(S2))  # of X, then of A X
+            return np.where(norms[0] > 0, norms[1] / np.maximum(norms[0], 1e-300), -np.inf)
 
-        X, f = _ascend(objective, X, rounds)
+        X, f = _ascend(score, [(np.eye(d), 0), (A, 0)], w, p, X, rounds)
         col = X[:, int(np.argmax(f))]
         col = col / col_norm(col[:, None], w, p, mode)[0]
     if not np.all(np.isfinite(col)):
@@ -470,16 +476,13 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
         starts.append(_sample_columns(k, int(budget), int(seed)))
     A0 = np.concatenate(starts, axis=1)
 
-    def objective(Ac):
-        Y = B @ Ac
-        num = col_norm(Y, w, p, "2w")
-        den = col_norm(Y, w, p, "p")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = sense * (num / np.maximum(den, 1e-300))
+    def score(Sp, S2):
+        den = Sp[0] ** (1 / p)
+        vals = sense * (np.sqrt(S2[0]) / np.maximum(den, 1e-300))
         # dead columns must lose regardless of search direction
         return np.where(den > 0, vals, -np.inf)
 
-    _, fvals = _ascend(objective, A0, 20)
+    _, fvals = _ascend(score, [(B, 0)], w, p, A0, 20)
     best = float(np.max(fvals))
     if not np.isfinite(best):
         raise ValueError("ratio extremum search degenerated")

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from xplab.cli import run
+from xplab.space import SLACK
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -138,6 +139,20 @@ def test_opnorm_out_of_range_is_error_and_zero_is_closed(fix, mode, tmp_path, ou
     assert run(["opnorm", "--op", path, "--mode", mode, "--out", out]) == 0
     data = _read(out)["data"]
     assert (data["lower"], data["upper"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("diagonal", [(1e308, 1.0), (1e-300, 3e-301)])
+def test_opnorm_xp_search_finds_e1_at_any_scale(fix, diagonal, tmp_path, out):
+    # every power sum of these matrices' images overflows or underflows, so
+    # the sampled search must run on a rescaled copy to see that e1 wins
+    doc = _read(fix("matrix_identity.json"))
+    doc["matrix"] = [[diagonal[0], 0.0], [0.0, diagonal[1]]]
+    path = str(tmp_path / "op.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run(["opnorm", "--op", path, "--mode", "xp", "--out", out]) == 0
+    data = _read(out)["data"]
+    assert data["lower"] >= data["upper"] * (1 - SLACK)
     assert "degenerate" not in data
 
 
