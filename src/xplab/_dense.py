@@ -75,59 +75,70 @@ def _coordinate_search(
     """Per-column coordinate search over affine images of X.
 
     Each image is a pair (M, c) standing for Y = c + M @ X on the window whose
-    weights are w; ``score(Sp, S2)`` maps the column sums of |Y|^p and of
-    (w Y)^2, one row per image, to per-column values. Each round visits every
-    coordinate i once and scores X[i], X[i] + h and X[i] - h together: it
-    keeps +h where ``better(new, current)`` holds, else -h where that holds. A
-    column's step halves after a round without gain, and the search ends once
-    every step is below ``stop``. Columns are independent. Maximizes by
-    default; pass ``better=np.less`` to minimize. X is not modified.
+    weights are w, with M None for the identity; ``score(Sp, S2)`` maps the
+    column sums of |Y|^p and of (w Y)^2, one row per image, to per-column
+    values. Each round visits every coordinate i once and scores X[i],
+    X[i] + h and X[i] - h together: it keeps +h where ``better(new, current)``
+    holds, else -h where that holds. A column's step halves after a round
+    without gain, and the search ends once every step is below ``stop``.
+    Columns are independent. Maximizes by default; pass ``better=np.less`` to
+    minimize. X is not modified.
 
     The search carries every Y and its sums, and a step on coordinate i
-    recomputes only the rows where M[:, i] != 0: their p-th powers at the
-    three points, and the change of the (w Y)^2 sums in closed form. Y and the sums are
-    recomputed from scratch at the start of every round and on return, so
-    roundoff cannot build up and the returned values are exact evaluations
-    at the returned X.
+    recomputes only the rows where M[:, i] != 0 (row i of the identity): their
+    p-th powers at the three points, and the change of the (w Y)^2 sums in
+    closed form. Y and the sums are recomputed from scratch at the start of
+    every round and on return, so roundoff cannot build up and the returned
+    values are exact evaluations at the returned X.
     """
     d, n = X.shape
-    m = len(w)
-    images = [
-        (np.asarray(M, dtype=float), np.broadcast_to(np.asarray(c, dtype=float), (m,))[:, None])
-        for M, c in images
-    ]
-    J = len(images)
-    M_all = np.concatenate([M for M, _ in images])
-    c_all = np.concatenate([c for _, c in images])
-    w_all = np.tile(w, J)
-    own = (np.repeat(np.arange(J), m) == np.arange(J)[:, None]).astype(float)  # image of a row
+    w2 = w**2
+
+    def rows(M, i):
+        # the rows R a step t on X[i] moves, M[R, i] (None for the identity,
+        # whose row i moves by t itself), and lin and quad with which the
+        # (w Y)^2 sums change by t lin.Y[R] + t^2 quad. A column that is mostly
+        # nonzero is read whole through a view, so what is kept per column
+        # never outgrows M.
+        if M is None:
+            return i, None, 2 * w2[i], w2[i]
+        R = np.flatnonzero(M[:, i])
+        R, col = (slice(None), M[:, i]) if 2 * len(R) > len(M) else (R, M[R, i])
+        return R, col[:, None], 2 * w2[R] * col, np.sum(w2[R] * col**2)
+
+    def sums(X):
+        # per image, the column sums of |Y|^p and of (w Y)^2 at X
+        Ys = [c + (X if M is None else M @ X) for M, c in images]
+        return Ys, np.array([[np.sum(np.abs(Y) ** p, axis=0), np.sum((w[:, None] * Y) ** 2, axis=0)]
+                             for Y in Ys])
+
+    images = [(M if M is None else np.asarray(M, dtype=float), np.reshape(c, (-1, 1)))
+              for M, c in images]
+    touched = [[rows(M, i) for M, _ in images] for i in range(d)]
     X = X.copy()
     h = h.copy()
     H = np.zeros((3, n))  # the steps 0, +h and -h
-    S = np.empty((J, 2, n))  # per image: the sums of |Y|^p and of (w Y)^2
+    St = np.empty((len(images), 2, 3, n))  # per image: the sums of |Y|^p and of (w Y)^2 at the steps
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        touched = []
-        for i in range(d):
-            R = np.flatnonzero(M_all[:, i])
-            col, wr, own_r = M_all[R, i], w_all[R], own[:, R]
-            # a step t on X[i] moves the (w Y)^2 sums by t 2 (w^2 M[:, i]).Y + t^2 |w M[:, i]|^2
-            lin, quad = own_r * (2 * wr**2 * col), own_r @ (wr * col) ** 2
-            touched.append((R, col[:, None], col[:, None, None], own_r, lin, quad[:, None, None]))
         for _ in range(rounds):
-            Y = c_all + M_all @ X
-            np.matmul(own, np.abs(Y) ** p, out=S[:, 0])
-            np.matmul(own, (w_all[:, None] * Y) ** 2, out=S[:, 1])
+            Ys, S = sums(X)
             H[1] = h
             np.negative(h, out=H[2])
-            Hsq = H * H
             improved = np.zeros(n, dtype=bool)
-            for i, (R, col, col3, own_r, lin, quad) in enumerate(touched):
-                Yr = Y[R]
-                St = np.empty((J, 2, 3, n))  # S at the three steps
-                P = np.abs(Yr[:, None, :] + col3 * H) ** p
-                sums = (own_r @ P.reshape(len(P), 3 * n)).reshape(J, 3, n)
-                np.add(S[:, :1], sums - sums[:, :1], out=St[:, 0])
-                np.add(S[:, 1:] + (lin @ Yr)[:, None, :] * H, quad * Hsq, out=St[:, 1])
+            for i, steps in enumerate(touched):
+                Yrs = []
+                for j, (Y, (R, col, lin, quad)) in enumerate(zip(Ys, steps)):
+                    Yr = Y[R]
+                    if col is None:
+                        Sr, g = np.abs(Yr + H) ** p, lin * Yr
+                    else:
+                        Z = col[:, None] * H
+                        Z += Yr[:, None, :]
+                        np.abs(Z, out=Z)
+                        Sr, g = (Z**p).sum(0), lin @ Yr
+                    np.add(S[j, 0], Sr - Sr[0], out=St[j, 0])
+                    np.add(S[j, 1], H * (g + quad * H), out=St[j, 1])
+                    Yrs.append(Yr)
                 f = score(St[:, 0], St[:, 1])
                 gain = better(f[1:], f[0])
                 if not gain.any():
@@ -135,13 +146,12 @@ def _coordinate_search(
                 up, down = gain
                 step = np.where(up, h, np.where(down, -h, 0.0))
                 X[i] += step
-                Y[R] = Yr + col * step
+                for Y, Yr, (R, col, *_) in zip(Ys, Yrs, steps):
+                    Y[R] = Yr + (step if col is None else col * step)
                 S = np.where(up, St[:, :, 1], np.where(down, St[:, :, 2], S))
                 improved |= up | down
             h *= np.where(improved, 1.0, 0.5)
             if (h < stop).all():
                 break
-        Ys = [c + M @ X for M, c in images]
-        Sp = np.array([np.sum(np.abs(Y) ** p, axis=0) for Y in Ys])
-        S2 = np.array([np.sum((w[:, None] * Y) ** 2, axis=0) for Y in Ys])
-        return X, score(Sp, S2)
+        S = sums(X)[1]
+        return X, score(S[:, 0], S[:, 1])

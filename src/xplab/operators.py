@@ -424,7 +424,10 @@ def estimate_opnorm(
         A = op.matrix
         top = np.max(np.abs(A))
         with np.errstate(over="ignore"):
-            if top > 0 and not np.finfo(float).tiny < top**p * d < np.inf:
+            # |A x| <= max|A| ||x||_1, and the ascent moves an entry of x by at
+            # most half the column's starting scale per round
+            reach = top * d * np.max(np.abs(X)) * (1 + rounds / 2)
+            if top > 0 and not (np.finfo(float).tiny < top**p and reach**p * d < np.inf):
                 # the ratio is homogeneous in A: search on A 2^-k, whose power sums stay finite
                 A = np.ldexp(A, -np.frexp(top)[1])
 
@@ -432,7 +435,7 @@ def estimate_opnorm(
             norms = np.maximum(Sp ** (1 / p), np.sqrt(S2))  # of X, then of A X
             return np.where(norms[0] > 0, norms[1] / np.maximum(norms[0], 1e-300), -np.inf)
 
-        X, f = _ascend(score, [(np.eye(d), 0), (A, 0)], w, p, X, rounds)
+        X, f = _ascend(score, [(None, 0), (A, 0)], w, p, X, rounds)
         col = X[:, int(np.argmax(f))]
         col = col / col_norm(col[:, None], w, p, mode)[0]
     if not np.all(np.isfinite(col)):

@@ -139,6 +139,7 @@ def test_opnorm_out_of_range_is_error_and_zero_is_closed(fix, mode, tmp_path, ou
     assert run(["opnorm", "--op", path, "--mode", mode, "--out", out]) == 0
     data = _read(out)["data"]
     assert (data["lower"], data["upper"]) == (0.0, 0.0)
+    assert "degenerate" not in data
 
 
 @pytest.mark.parametrize("diagonal", [(1e308, 1.0), (1e-300, 3e-301)])
@@ -154,6 +155,24 @@ def test_opnorm_xp_search_finds_e1_at_any_scale(fix, diagonal, tmp_path, out):
     data = _read(out)["data"]
     assert data["lower"] >= data["upper"] * (1 - SLACK)
     assert "degenerate" not in data
+
+
+def test_opnorm_xp_search_is_scale_free(fix, tmp_path, out):
+    # entries of 1e50 keep max|A|^p d in range, but a column of 64 such entries
+    # images to 64e50, whose 6th power overflows: the search must still see
+    # the same ratios as on the all-ones matrix
+    doc = _read(fix("matrix_identity.json"))
+    d = 64
+    doc.update(p=6.0, weights=[1.0] * d, window=list(range(1, d + 1)))
+    path = str(tmp_path / "op.json")
+    lowers = []
+    for entry in (1.0, 1e50):
+        doc["matrix"] = [[entry] * d for _ in range(d)]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert run(["opnorm", "--op", path, "--mode", "xp", "--out", out]) == 0
+        lowers.append(_read(out)["data"]["lower"] / entry)
+    assert lowers[1] == pytest.approx(lowers[0], rel=1e-12)
 
 
 def test_opnorm_seed_from_env(fix, out, tmp_path, monkeypatch):

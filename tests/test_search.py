@@ -51,7 +51,7 @@ def _reference_search(objective, X, h, stop, rounds, better=np.greater):
 
 
 def _from_scratch(score, images, w, p, X):
-    Ys = [M @ X + np.reshape(c, (-1, 1)) for M, c in images]
+    Ys = [(X if M is None else M @ X) + np.reshape(c, (-1, 1)) for M, c in images]
     Sp = np.array([np.sum(np.abs(Y) ** p, axis=0) for Y in Ys])
     S2 = np.array([np.sum((w[:, None] * Y) ** 2, axis=0) for Y in Ys])
     return score(Sp, S2)
@@ -77,7 +77,7 @@ def _opnorm_case(A, w, p, rng, n=24):
         return np.where(norms[0] > 0, norms[1] / np.maximum(norms[0], 1e-300), -np.inf)
 
     X, h, stop = _starts(rng, d, n)
-    return objective, score, [(np.eye(d), 0), (A, 0)], w, p, X, h, stop, 16, np.greater
+    return objective, score, [(None, 0), (A, 0)], w, p, X, h, stop, 16, np.greater
 
 
 def _operator_of(op):
@@ -212,3 +212,15 @@ def test_search_leaves_its_inputs_alone():
     X0c, hc = X0.copy(), h.copy()
     _dense._coordinate_search(score, images, w, p, X0, h, stop, rounds, better)
     assert np.array_equal(X0, X0c) and np.array_equal(h, hc)
+
+
+def test_identity_image_is_the_eye_matrix():
+    # None stands for the identity image without building it: the search
+    # must run exactly as it does with an explicit identity matrix
+    _, score, images, w, p, X0, h, stop, rounds, better = _dense_case(2)
+    (_, c), A = images[0], images[1]
+    X, f = _dense._coordinate_search(score, images, w, p, X0, h, stop, rounds, better)
+    Xe, fe = _dense._coordinate_search(
+        score, [(np.eye(len(X0)), c), A], w, p, X0, h, stop, rounds, better
+    )
+    assert np.array_equal(X, Xe) and np.array_equal(f, fe)
