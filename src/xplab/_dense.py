@@ -98,8 +98,8 @@ def _coordinate_search(
         # the rows R a step t on X[i] moves, M[R, i] (None for the identity,
         # whose row i moves by t itself), and lin and quad with which the
         # (w Y)^2 sums change by t lin.Y[R] + t^2 quad. A column that is mostly
-        # nonzero is read whole through a view, so what is kept per column
-        # never outgrows M.
+        # nonzero is read whole through a view, so what is kept for all
+        # coordinates is at most 1.5 times the size of M.
         if M is None:
             return i, None, 2 * w2[i], w2[i]
         R = np.flatnonzero(M[:, i])
