@@ -3,19 +3,22 @@
 Each driver runs one property campaign at a given scale and returns a
 CriterionReport: headline checks with both numeric sides, counts, and a
 verdict. The defaults are the full campaign sizes; scale them down for quick
-runs. All randomness flows through per-trial child seeds, so results are
-reproducible and independent of execution order.
+runs. Randomness flows through child seeds, so results are reproducible and
+independent of execution order. Most drivers take one child seed per trial;
+criterion 2 draws its trials in chunks, one child seed per chunk, so its
+results depend only on (trials, seed) and the chunk size HOLDER_CHUNK.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ._dense import col_norm, window_weights
-from .blocks import holder_bounds, make_block, make_rosenthal
+from .blocks import HolderBounds, holder_bounds, make_block, make_rosenthal
 from .criteria import (
     CriterionReport,
     check,
@@ -89,49 +92,249 @@ def run_rosenthal_identities(trials: int = 1000, seed: int = 0) -> CriterionRepo
 
 # -- criterion 2 --------------------------------------------------------------
 
+# Criterion 2 draws its trials HOLDER_CHUNK at a time, one generator per
+# (seed, 2, chunk), and evaluates each chunk as arrays over the 64-wide window.
+# Every HOLDER_STRIDE-th trial is rebuilt through the sparse blocks, whose
+# five numbers must agree within HOLDER_AGREE relative and whose three
+# verdicts must be equal.
+HOLDER_DIM = 64
+HOLDER_CHUNK = 1024
+HOLDER_STRIDE = 101
+HOLDER_AGREE = 1e-12
+_HOLDER_MAX_I = 8
+_HOLDER_MAX_X = 12
+
+
+class _HolderDraw(NamedTuple):
+    """Trials k0, k0 + 1, ... of criterion 2, one row each.
+
+    The block support I is the first ``size`` slots of ``I`` (0-based window
+    positions in random order) and E is the first ``esize`` of those. ``vals``
+    and ``u`` are the general blocks' values on those slots and their c
+    factor; ``x`` is each trial's vector over the window.
+    """
+
+    k0: int
+    p: np.ndarray
+    w: np.ndarray
+    I: np.ndarray
+    size: np.ndarray
+    esize: np.ndarray
+    vals: np.ndarray
+    u: np.ndarray
+    x: np.ndarray
+
+
+class _HolderSides(NamedTuple):
+    """Per-trial values of :class:`~xplab.blocks.HolderBounds` for one chunk; skip marks x = 0."""
+
+    skip: np.ndarray
+    lhs2: np.ndarray
+    rhs2: np.ndarray
+    lhsp: np.ndarray
+    rhsp: np.ndarray
+    c: np.ndarray
+    c_admissible: np.ndarray
+    ok2: np.ndarray
+    okp: np.ndarray
+
+
+def _draw_holder_chunk(seed: int, chunk: int, n: int = HOLDER_CHUNK) -> _HolderDraw:
+    """The first n trials of a chunk; a full chunk is drawn, so they never depend on n."""
+    rng = _child(seed, 2, chunk)
+    m, dim = HOLDER_CHUNK, HOLDER_DIM
+    p = rng.uniform(2.1, 8.0, size=m)
+    w = rng.uniform(1e-3, 2.0, size=(m, dim))
+    # the first s positions of a uniform random permutation are a uniform
+    # s-subset in random order, so any prefix of them is a uniform subset too
+    I = np.argsort(rng.random((m, dim)), axis=1)[:, :_HOLDER_MAX_I]
+    size = rng.integers(1, _HOLDER_MAX_I + 1, size=m)
+    esize = rng.integers(1, size + 1)
+    vals = rng.uniform(0.1, 2.0, size=(m, _HOLDER_MAX_I))
+    vals *= rng.choice([-1.0, 1.0], size=vals.shape)
+    u = rng.uniform(1.0, 1.3, size=m)
+    xpos = np.argsort(rng.random((m, dim)), axis=1)[:, :_HOLDER_MAX_X]
+    xsize = rng.integers(1, _HOLDER_MAX_X + 1, size=m)
+    xvals = rng.standard_normal((m, _HOLDER_MAX_X)) * (np.arange(_HOLDER_MAX_X) < xsize[:, None])
+    x = np.zeros((m, dim))
+    np.put_along_axis(x, xpos, xvals, axis=1)
+    rows = slice(0, n)
+    return _HolderDraw(
+        chunk * m, p[rows], w[rows], I[rows], size[rows], esize[rows], vals[rows], u[rows], x[rows]
+    )
+
+
+def _sum2(t: np.ndarray) -> np.ndarray:
+    """Row sums as if accumulated in twice the working precision (Ogita, Rump and Oishi's Sum2).
+
+    The functional's numerator is a signed sum that can cancel; ``math.fsum``
+    in the sparse path rounds it once, and this stays within an ulp or two
+    of that unless the terms cancel to about 1e-18 of their absolute sum.
+    """
+    s = t[:, 0].copy()
+    err = np.zeros_like(s)
+    for a in t.T[1:]:
+        new = s + a
+        b = new - s
+        err += (s - (new - b)) + (a - b)
+        s = new
+    return s + err
+
+
+def _first_row(bad: np.ndarray) -> int | None:
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _holder_columns(d: _HolderDraw) -> _HolderSides:
+    """The Hölder chain of every trial of a chunk by columns.
+
+    Raises where make_rosenthal or make_block would: on a broken extremal
+    identity, or on a general block failing condition a or b.
+    """
+    n = len(d.p)
+    p = d.p[:, None]
+    inI = np.arange(_HOLDER_MAX_I) < d.size[:, None]
+    inE = np.arange(_HOLDER_MAX_I) < d.esize[:, None]
+    extremal = (d.k0 + np.arange(n)) % 2 == 0
+    wI = np.take_along_axis(d.w, d.I, axis=1)
+    xI = np.take_along_axis(d.x, d.I, axis=1) * inI
+    z = np.where(extremal[:, None], wI ** (2.0 / (p - 2.0)), d.vals) * inI
+    zw2 = (z * wI) ** 2
+    z2 = np.sqrt(np.sum(zw2, axis=1))
+    zp = np.sum(np.abs(z) ** p, axis=1) ** (1.0 / d.p)
+    mass = wI ** (2.0 * p / (p - 2.0))
+    ratio_exp = (d.p - 2.0) / (2.0 * d.p)
+    omI = np.sum(mass * inI, axis=1)
+    rI = omI**ratio_exp
+
+    for got, want in ((z2, omI**0.5), (zp, omI ** (1.0 / d.p)), (z2 / zp, rI)):
+        off = np.abs(got - want) > 1e-10 * np.maximum(np.abs(want), 1e-300)
+        k = _first_row(extremal & off)
+        if k is not None:
+            raise ValueError(
+                f"extremal block identities broke down numerically at trial {d.k0 + k}: "
+                f"{got[k]} vs {want[k]}"
+            )
+
+    # the general blocks: delta and c as the sparse driver chooses them, then
+    # make_block's conditions a and b
+    zE2 = np.sqrt(np.sum(zw2 * inE, axis=1))
+    rE = np.sum(mass * inE, axis=1) ** ratio_exp
+    c = np.where(extremal, 1.0, np.maximum(rE / zE2, rI * zp / z2) * d.u)
+    delta = zE2 / z2
+    k = _first_row(~extremal & ~(zE2 >= delta * z2 * (1.0 - SLACK)))
+    if k is not None:
+        raise ValueError(
+            f"condition a fails at trial {d.k0 + k}: E-part mass {zE2[k]:.6g} < delta * {z2[k]:.6g}"
+        )
+    k = _first_row(~extremal & ~(c * zE2 >= rE * (1.0 - SLACK)))
+    if k is not None:
+        raise ValueError(
+            f"condition b fails at trial {d.k0 + k}: c * {zE2[k]:.6g} < omega(E)^ratio_exp "
+            f"= {rE[k]:.6g}"
+        )
+
+    # The functional's numerator is a signed sum that can cancel, so its terms
+    # are formed with Python's float power, as the sparse blocks form them:
+    # numpy's vectorized power can differ from it by an ulp (in about one case
+    # in twenty on an AVX-512 machine), and under cancellation one ulp in one
+    # term can exceed HOLDER_AGREE.
+    hit = np.nonzero(xI)
+    wh = wI[hit].tolist()
+    coeff = np.broadcast_to(2.0 / (p - 2.0), wI.shape)[hit].tolist()
+    zh = np.where(extremal[hit[0]], np.array([a**b for a, b in zip(wh, coeff)]), d.vals[hit])
+    terms = np.zeros_like(xI)
+    terms[hit] = zh * xI[hit] * np.array([a**2 for a in wh])
+    f = _sum2(terms) / z2**2
+    lhs2 = np.abs(f) * z2
+    rhs2 = np.sqrt(np.sum((xI * wI) ** 2, axis=1))
+    lhsp = np.abs(f) * zp
+    rhsp = np.sum(np.abs(xI) ** p, axis=1) ** (1.0 / d.p)
+    return _HolderSides(
+        skip=~np.any(d.x, axis=1),
+        lhs2=lhs2,
+        rhs2=rhs2,
+        lhsp=lhsp,
+        rhsp=rhsp,
+        c=c,
+        c_admissible=c * z2 >= rI * zp * (1.0 - SLACK),
+        ok2=lhs2 <= rhs2 * (1.0 + SLACK) + 1e-300,
+        okp=lhsp <= c * rhsp * (1.0 + SLACK) + 1e-300,
+    )
+
+
+def _holder_block(d: _HolderDraw, j: int):
+    """Row j's block, built as the sparse path builds it: make_rosenthal or make_block."""
+    sp = WeightedSpace(float(d.p[j]), tuple(d.w[j]))
+    size = int(d.size[j])
+    I = [int(i) + 1 for i in d.I[j, :size]]
+    if (d.k0 + j) % 2 == 0:
+        return make_rosenthal(sp, I)
+    z = SpVector(sp, dict(zip(I, (float(v) for v in d.vals[j, :size]))))
+    E = I[: int(d.esize[j])]
+    core = restrict(z, E)
+    c_cond = max_ratio(sp, E) / norm_2w(core)
+    c_adm = max_ratio(sp, I) * norm_p(z) / norm_2w(z)
+    c = max(c_cond, c_adm) * float(d.u[j])
+    return make_block(z, E, norm_2w(core) / norm_2w(z), c)
+
+
+def _holder_trial(d: _HolderDraw, j: int) -> HolderBounds | None:
+    """holder_bounds of row j through the sparse blocks; None when x = 0."""
+    blk = _holder_block(d, j)
+    x = SpVector(blk.space, {int(i) + 1: float(d.x[j, i]) for i in np.flatnonzero(d.x[j])})
+    return None if x.is_zero() else holder_bounds(blk, x)
+
+
+def _holder_crosscheck(d: _HolderDraw, h: _HolderSides, j: int) -> None:
+    """Raise unless row j of the column kernel matches holder_bounds."""
+    hb = _holder_trial(d, j)
+    where = f"criterion 2 column kernel disagrees with holder_bounds at trial {d.k0 + j}"
+    if (hb is None) != bool(h.skip[j]):
+        raise ValueError(f"{where}: x = 0 in one path only")
+    if hb is None:
+        return
+    for name in ("lhs2", "rhs2", "lhsp", "rhsp", "c"):
+        got, want = float(getattr(h, name)[j]), getattr(hb, name)
+        if abs(got - want) > HOLDER_AGREE * max(abs(got), abs(want)):
+            raise ValueError(f"{where}: {name} {got!r} vs {want!r}")
+    for name in ("c_admissible", "ok2", "okp"):
+        if bool(getattr(h, name)[j]) != getattr(hb, name):
+            raise ValueError(f"{where}: {name} {bool(getattr(h, name)[j])} vs {getattr(hb, name)}")
+
+
 def run_holder_pairs(trials: int = 100_000, seed: int = 0) -> CriterionReport:
-    """Functional-value norm bounds, extremal and general blocks alike."""
+    """Functional-value norm bounds, extremal and general blocks alike.
+
+    Each trial draws p, 64 weights, a support I of 1..8 indices, and x with
+    1..12 standard-normal entries. Even trials take the extremal block of I;
+    odd ones take signed uniform values on I, a subset E of I, and c a
+    U(1, 1.3) factor above the least admissible value. Trials with x = 0 are
+    skipped.
+    """
+    trials = int(trials)
     viol = 0
     worst2 = 0.0
     worstp = 0.0
-    for k in range(int(trials)):
-        rng = _child(seed, 2, k)
-        p = float(rng.uniform(2.1, 8.0))
-        dim = 64
-        w = rng.uniform(1e-3, 2.0, size=dim)
-        sp = WeightedSpace(p, tuple(w))
-        size = int(rng.integers(1, 9))
-        I = sorted(int(i) for i in rng.choice(np.arange(1, dim + 1), size=size, replace=False))
-        if k % 2 == 0:
-            blk = make_rosenthal(sp, I)
-        else:
-            vals = rng.uniform(0.1, 2.0, size=size) * rng.choice([-1.0, 1.0], size=size)
-            z = SpVector(sp, dict(zip(I, (float(v) for v in vals))))
-            esize = int(rng.integers(1, size + 1))
-            E = sorted(int(i) for i in rng.choice(np.asarray(I), size=esize, replace=False))
-            core = restrict(z, E)
-            c_cond = max_ratio(sp, E) / norm_2w(core)
-            c_adm = max_ratio(sp, I) * norm_p(z) / norm_2w(z)
-            c = max(c_cond, c_adm) * float(rng.uniform(1.0, 1.3))
-            blk = make_block(z, E, norm_2w(core) / norm_2w(z), c)
-        xsize = int(rng.integers(1, 13))
-        xi = rng.choice(np.arange(1, dim + 1), size=xsize, replace=False)
-        x = SpVector(sp, {int(i): float(v) for i, v in zip(xi, rng.standard_normal(xsize))})
-        if x.is_zero():
-            continue
-        hb = holder_bounds(blk, x)
-        if hb.rhs2 > 0:
-            worst2 = max(worst2, hb.lhs2 / hb.rhs2)
-        if hb.rhsp > 0:
-            worstp = max(worstp, hb.lhsp / (hb.c * hb.rhsp))
-        if not (hb.ok2 and hb.okp and hb.c_admissible):
-            viol += 1
+    for chunk, k0 in enumerate(range(0, trials, HOLDER_CHUNK)):
+        d = _draw_holder_chunk(seed, chunk, min(HOLDER_CHUNK, trials - k0))
+        h = _holder_columns(d)
+        for j in range(-k0 % HOLDER_STRIDE, len(d.p), HOLDER_STRIDE):
+            _holder_crosscheck(d, h, j)
+        keep = ~h.skip
+        on2 = keep & (h.rhs2 > 0)
+        if on2.any():
+            worst2 = max(worst2, float(np.max(h.lhs2[on2] / h.rhs2[on2])))
+        onp = keep & (h.rhsp > 0)
+        if onp.any():
+            worstp = max(worstp, float(np.max(h.lhsp[onp] / (h.c[onp] * h.rhsp[onp]))))
+        viol += int(np.count_nonzero(keep & ~(h.ok2 & h.okp & h.c_admissible)))
     checks = (
         check("violations", viol, "<=", 0),
         check("worst_2w_quotient", worst2, "<=", 1.0, slack=SLACK),
         check("worst_p_quotient", worstp, "<=", 1.0, slack=SLACK),
     )
-    return CriterionReport("holder-pairs", checks, {"trials": int(trials), "violations": viol})
+    return CriterionReport("holder-pairs", checks, {"trials": trials, "violations": viol})
 
 
 # -- criterion 3 --------------------------------------------------------------
