@@ -93,10 +93,10 @@ def run_rosenthal_identities(trials: int = 1000, seed: int = 0) -> CriterionRepo
 # -- criterion 2 --------------------------------------------------------------
 
 # Criterion 2 draws its trials HOLDER_CHUNK at a time, one generator per
-# (seed, 2, chunk), and evaluates each chunk as arrays over the 64-wide window.
-# Every HOLDER_STRIDE-th trial is rebuilt through the sparse blocks, whose
-# five numbers must agree within HOLDER_AGREE relative and whose three
-# verdicts must be equal.
+# (seed, 2, chunk), and evaluates each chunk as arrays: x over the 64-wide
+# window, each block on up to 8 slots gathered from it. Every HOLDER_STRIDE-th
+# trial is rebuilt through the sparse blocks, whose five numbers must agree
+# within HOLDER_AGREE relative and whose three verdicts must be equal.
 HOLDER_DIM = 64
 HOLDER_CHUNK = 1024
 HOLDER_STRIDE = 101
@@ -167,9 +167,10 @@ def _draw_holder_chunk(seed: int, chunk: int, n: int = HOLDER_CHUNK) -> _HolderD
 def _sum2(t: np.ndarray) -> np.ndarray:
     """Row sums as if accumulated in twice the working precision (Ogita, Rump and Oishi's Sum2).
 
-    The functional's numerator is a signed sum that can cancel; ``math.fsum``
-    in the sparse path rounds it once, and this stays within an ulp or two
-    of that unless the terms cancel to about 1e-18 of their absolute sum.
+    The functional's numerator is a signed sum that can cancel. The error of
+    Sum2 over eight terms is at most u|s| + (7u)^2 sum|t| with u = 2^-53, so it
+    stays within HOLDER_AGREE of the sparse path's correctly rounded
+    ``math.fsum`` unless the terms cancel to below about 1e-18 of sum|t|.
     """
     s = t[:, 0].copy()
     err = np.zeros_like(s)
@@ -241,7 +242,7 @@ def _holder_columns(d: _HolderDraw) -> _HolderSides:
     # term can exceed HOLDER_AGREE.
     hit = np.nonzero(xI)
     wh = wI[hit].tolist()
-    coeff = np.broadcast_to(2.0 / (p - 2.0), wI.shape)[hit].tolist()
+    coeff = (2.0 / (d.p - 2.0))[hit[0]].tolist()
     zh = np.where(extremal[hit[0]], np.array([a**b for a, b in zip(wh, coeff)]), d.vals[hit])
     terms = np.zeros_like(xI)
     terms[hit] = zh * xI[hit] * np.array([a**2 for a in wh])
