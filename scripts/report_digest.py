@@ -10,6 +10,11 @@ OUTDIR/<name>.json and the exit codes to OUTDIR/exit_codes.json. Commands
 run in-process from the repository root with XPLAB_SEED unset, so two trees
 wrote the same reports exactly when ``diff -r`` of their OUTDIRs is empty.
 Like make_fixtures.py, it imports xplab from its own tree.
+
+The whole list then runs a second time in the same process, into a scratch
+directory. The script exits 1, naming each file, if any report or exit code
+of the second run differs from the first: state carried from one run to the
+next would show there.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -81,6 +87,23 @@ def commands() -> dict[str, list[str]]:
     return cmds
 
 
+def _run_all(out: str) -> None:
+    """Run every command once, writing its report and all exit codes into out."""
+    codes = {name: run(cmd + ["--out", os.path.join(out, f"{name}.json")])
+             for name, cmd in commands().items()}
+    with open(os.path.join(out, "exit_codes.json"), "w", encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_bytes(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 scripts/report_digest.py OUTDIR", file=sys.stderr)
@@ -89,13 +112,17 @@ def main(argv: list[str]) -> int:
     os.makedirs(out, exist_ok=True)
     os.environ.pop("XPLAB_SEED", None)
     os.chdir(ROOT)
-    codes = {}
-    for name, cmd in commands().items():
-        codes[name] = run(cmd + ["--out", os.path.join(out, f"{name}.json")])
-    with open(os.path.join(out, "exit_codes.json"), "w", encoding="utf-8") as fh:
-        json.dump(codes, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    _run_all(out)
+    differ = []
+    with tempfile.TemporaryDirectory() as again:
+        _run_all(again)
+        for name in sorted(os.listdir(again)):
+            if _read_bytes(os.path.join(out, name)) != _read_bytes(os.path.join(again, name)):
+                differ.append(name)
+    for name in differ:
+        print(f"report_digest: {name} differs between the first and the second run",
+              file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

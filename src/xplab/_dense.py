@@ -24,6 +24,22 @@ def window_weights(space: WeightedSpace, idx: np.ndarray) -> np.ndarray:
     return space.warray[np.asarray(idx, dtype=int) - 1]
 
 
+def range_exponent(top, growth: float, p: float, rows: int) -> int:
+    """The k for which a search on data times 2^-k keeps its power sums in range.
+
+    top is the largest |entry| of the data, and every entry the search forms
+    is at most top * growth. Sums of |entry|^p over ``rows`` rows then stay in
+    the normal double range when tiny < top^p and rows (top growth)^p < inf.
+    k is 0 when they do, so ordinary data are searched as they are; otherwise
+    it is the binary exponent of top, which brings the data's peak to [1/2, 1).
+    """
+    top = np.float64(top)
+    with np.errstate(over="ignore", under="ignore"):
+        if top > 0 and not (np.finfo(float).tiny < top**p and (top * growth) ** p * rows < np.inf):
+            return int(np.frexp(top)[1])
+    return 0
+
+
 def col_norm_p(X: np.ndarray, p: float) -> np.ndarray:
     return np.sum(np.abs(X) ** p, axis=0) ** (1.0 / p)
 

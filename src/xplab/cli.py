@@ -5,13 +5,18 @@ still written); 1 usage or I/O error. Reports are byte-identical for the same
 (config, seed); wall time goes to stderr only. A report's command is the
 command and subcommand joined by a space; its config is every parsed argument
 except cmd, sub, seed, out and csv. Commands with a --seed flag record their
-seed, which XPLAB_SEED supplies by default.
+seed, which XPLAB_SEED supplies by default, read afresh on every run.
+
+The argument parser is built once per process, on first use, and every run
+and every command of a batch parse with it; parsing keeps no state between
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -102,6 +107,7 @@ def _emit(report: Report, args) -> int:
     return 0 if report.verdict else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="xplab", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -290,6 +296,8 @@ def _cmd_split(args, seed):
     op = doc_to_operator(load_json(args.projection))
     x = doc_to_vector(load_json(args.x), getattr(op, "space", None))
     cdoc = _inline_or_file(args.constants)
+    if not isinstance(cdoc, dict):
+        raise SerializationError("constants document must be a JSON object")
     if all(k in cdoc for k in ("alpha", "beta", "rho", "eps_prime")):
         consts = doc_to_constants(cdoc)
     else:
@@ -379,7 +387,6 @@ def _cmd_batch(args, seed):
     runs = doc.get("runs") if isinstance(doc, dict) else doc
     if runs is None or not isinstance(runs, list):
         raise SerializationError("batch config must be a list or carry a 'runs' list")
-    parser = _build_parser()
     parsed = []
     for k, argv in enumerate(runs):
         if not (isinstance(argv, list) and all(isinstance(t, str) for t in argv)):
@@ -387,7 +394,7 @@ def _cmd_batch(args, seed):
         if argv and argv[0] == "batch":
             raise SerializationError(f"runs[{k}]: batch cannot nest")
         try:
-            parser.parse_args(argv)
+            _build_parser().parse_args(argv)
         except SystemExit:
             raise SerializationError(f"runs[{k}] failed to parse: {argv!r}")
         parsed.append(argv)
@@ -425,9 +432,8 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     t0 = time.perf_counter()

@@ -619,7 +619,6 @@ def defect_of(
     p = space.p
     xcol = vectors_to_cols([x], idx)[:, 0]
     k = B.shape[1]
-    denom = float(col_norm(xcol[:, None], w, p, "xp")[0])
 
     starts = [np.zeros((k, 1))]
     lsq, *_ = np.linalg.lstsq(B * w[:, None], xcol * w, rcond=None)
@@ -636,9 +635,18 @@ def defect_of(
 
     scale = max(float(np.max(np.abs(lsq))), 1.0)
     h0 = 0.25 * scale
+    rounds = 40
+    # |x - B a| <= max(|x|, |B|) (1 + ||a||_1), and each round moves an entry
+    # of a by at most h0
+    top = max(np.max(np.abs(xcol)), np.max(np.abs(B)))
+    e = _dense.range_exponent(top, 1 + k * (float(np.max(np.abs(A0))) + rounds * h0), p, len(B))
+    if e:
+        # the relative distance is homogeneous in (x, B): search on both times 2^-e
+        xcol, B = np.ldexp(xcol, -e), np.ldexp(B, -e)
+    denom = float(col_norm(xcol[:, None], w, p, "xp")[0])
     step = np.full(A0.shape[1], h0)
     _, f = _dense._coordinate_search(
-        cost, [(-B, xcol)], w, p, A0, step, 1e-12 * max(h0, 1.0), 40, np.less
+        cost, [(-B, xcol)], w, p, A0, step, 1e-12 * max(h0, 1.0), rounds, np.less
     )
     return float(np.min(f)) / denom
 

@@ -422,14 +422,12 @@ def estimate_opnorm(
         d = len(op.window)
         X = _sample_columns(d, int(budget), int(seed))
         A = op.matrix
-        top = np.max(np.abs(A))
-        with np.errstate(over="ignore"):
-            # |A x| <= max|A| ||x||_1, and the ascent moves an entry of x by at
-            # most half the column's starting scale per round
-            reach = top * d * np.max(np.abs(X)) * (1 + rounds / 2)
-            if top > 0 and not (np.finfo(float).tiny < top**p and reach**p * d < np.inf):
-                # the ratio is homogeneous in A: search on A 2^-k, whose power sums stay finite
-                A = np.ldexp(A, -np.frexp(top)[1])
+        # |A x| <= max|A| ||x||_1, and the ascent moves an entry of x by at
+        # most half the column's starting scale per round
+        k = _dense.range_exponent(np.max(np.abs(A)), d * np.max(np.abs(X)) * (1 + rounds / 2), p, d)
+        if k:
+            # the ratio is homogeneous in A: search on A 2^-k, whose power sums stay finite
+            A = np.ldexp(A, -k)
 
         def score(Sp, S2):
             norms = np.maximum(Sp ** (1 / p), np.sqrt(S2))  # of X, then of A X
@@ -462,7 +460,9 @@ def _span_matrix(V: Sequence[SpVector]):
         raise ValueError("span vectors must be nonzero")
     idx = union_window(V)
     B = vectors_to_cols(V, idx)
-    Bn = B / np.linalg.norm(B, axis=0)
+    # each column is first scaled by a power of two, so that its norm stays in range
+    Bn = np.ldexp(B, -np.frexp(np.max(np.abs(B), axis=0))[1])
+    Bn /= np.linalg.norm(Bn, axis=0)
     s = np.linalg.svd(Bn, compute_uv=False)
     if s[-1] < 1e-10 * s[0]:
         raise ValueError("span vectors are linearly dependent")
@@ -478,6 +478,13 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
     if budget > 0:
         starts.append(_sample_columns(k, int(budget), int(seed)))
     A0 = np.concatenate(starts, axis=1)
+    rounds = 20
+    # |B a| <= max|B| ||a||_1, and the ascent moves an entry of a by at most
+    # half the column's starting scale per round
+    e = _dense.range_exponent(np.max(np.abs(B)), k * np.max(np.abs(A0)) * (1 + rounds / 2), p, len(B))
+    if e:
+        # the ratio is homogeneous in B: search on B 2^-e, whose power sums stay finite
+        B = np.ldexp(B, -e)
 
     def score(Sp, S2):
         den = Sp[0] ** (1 / p)
@@ -485,7 +492,7 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
         # dead columns must lose regardless of search direction
         return np.where(den > 0, vals, -np.inf)
 
-    _, fvals = _ascend(score, [(B, 0)], w, p, A0, 20)
+    _, fvals = _ascend(score, [(B, 0)], w, p, A0, rounds)
     best = float(np.max(fvals))
     if not np.isfinite(best):
         raise ValueError("ratio extremum search degenerated")

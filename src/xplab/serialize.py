@@ -48,7 +48,14 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+# the exact types that JSON encodes as they are; subclasses such as np.float64
+# take the branches below
+_LEAVES = frozenset((float, int, str, bool, type(None)))
+
+
 def _plain(obj: Any) -> Any:
+    if type(obj) in _LEAVES:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -154,9 +161,10 @@ def doc_to_space(doc: dict) -> WeightedSpace:
         weights = generate(doc_to_family(weights))
     if not isinstance(weights, list) or not weights:
         raise SerializationError("field 'weights' must be a nonempty list or a family object")
+    p = _number(p, "field 'p'")
     try:
-        return WeightedSpace(float(p), tuple(float(w) for w in weights))
-    except (TypeError, ValueError) as exc:
+        return WeightedSpace(p, weights)
+    except ValueError as exc:
         raise SerializationError(f"space document: {exc}") from exc
 
 
@@ -167,6 +175,8 @@ def vector_to_doc(x: SpVector) -> dict:
 
 
 def doc_to_vector(doc: dict, space: WeightedSpace | None = None) -> SpVector:
+    if not isinstance(doc, dict):
+        raise SerializationError("vector document must be a JSON object")
     if space is None or "p" in doc or "weights" in doc:
         space = doc_to_space(doc)
     entries = _entries(_need(doc, "entries", "vector document"), "entries")

@@ -106,6 +106,12 @@ def _as_indices(E) -> tuple[int, ...]:
 class WeightedSpace:
     """Exponent p > 2 and positive weights; dimension is len(weights).
 
+    The weights are checked as one float array: they must form a nonempty
+    flat sequence of at most ``MAX_DIM`` positive finite numbers. They are
+    kept twice, as ``weights``, a tuple of Python floats, and as ``warray``,
+    the read-only array that was checked. Two spaces are equal when they are
+    the same object, or when their exponents and weight arrays are equal.
+
     The three derived exponents are cached on first use:
 
     * ``mass_exp``  = 2p/(p-2), the power in the weight mass of a set,
@@ -124,17 +130,35 @@ class WeightedSpace:
             raise ValueError(f"exponent must satisfy p > 2, got {p}")
         if not math.isfinite(p):
             raise ValueError("exponent must be finite")
-        w = tuple(float(v) for v in self.weights)
-        if len(w) == 0:
+        try:
+            a = np.array(self.weights, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("weights must be a flat sequence of numbers") from None
+        if a.ndim != 1:
+            raise ValueError("weights must be a flat sequence of numbers")
+        if len(a) == 0:
             raise ValueError("weights must be nonempty")
-        if len(w) > MAX_DIM:
-            raise ValueError(f"dimension {len(w)} exceeds cap {MAX_DIM}")
-        if any(not (v > 0.0 and math.isfinite(v)) for v in w):
+        if len(a) > MAX_DIM:
+            raise ValueError(f"{len(a)} weights exceed the dimension cap {MAX_DIM}")
+        # a NaN weight makes the minimum NaN, which fails the comparison
+        if not (a.min() > 0.0 and a.max() < math.inf):
             raise ValueError("weights must be positive and finite")
+        a.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", tuple(a.tolist()))
+        object.__setattr__(self, "warray", a)
         if abs(self.mass_exp * self.ratio_exp - 1.0) > 1e-12:
             raise ValueError("derived exponents are inconsistent at this p")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, WeightedSpace):
+            return NotImplemented
+        return self.p == other.p and bool(np.array_equal(self.warray, other.warray))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.weights))
 
     @property
     def dim(self) -> int:
@@ -151,12 +175,6 @@ class WeightedSpace:
     @cached_property
     def ratio_exp(self) -> float:
         return (self.p - 2.0) / (2.0 * self.p)
-
-    @cached_property
-    def warray(self) -> np.ndarray:
-        a = np.asarray(self.weights, dtype=float)
-        a.setflags(write=False)
-        return a
 
     def weight(self, n: int) -> float:
         if not 1 <= n <= self.dim:

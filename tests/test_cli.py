@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from xplab.cli import run
-from xplab.space import SLACK
+from xplab.cli import _build_parser, run
+from xplab.space import MAX_DIM, SLACK
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -489,3 +489,82 @@ def test_report_config_records_every_argument(fix, out):
     assert rep["command"] == "diag prop21"
     assert rep["config"]["head_cut"] == 1
     assert rep["config"]["budget"] == 64
+
+
+# The parser is built once per process and shared by every run; these runs
+# check that nothing of one run reaches the next.
+
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_a_command_run_twice_writes_identical_reports(fix, tmp_path):
+    argv = ["classify", "kp", "--v", fix("vlist_span.json"), "--C", "2.0", "--budget", "32"]
+    texts = []
+    for k in range(2):
+        path = str(tmp_path / f"r{k}.json")
+        assert run(argv + ["--out", path]) == 0
+        with open(path, "rb") as fh:
+            texts.append(fh.read())
+    assert texts[0] == texts[1]
+
+
+def test_a_failed_parse_leaves_the_next_report_unchanged(fix, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("XPLAB_SEED", raising=False)
+    argv = ["opnorm", "--op", fix("gram_op.json"), "--budget", "16"]
+    before, after = str(tmp_path / "before.json"), str(tmp_path / "after.json")
+    assert run(argv + ["--out", before]) == 0
+    # a bad choice, a bad type and a missing required flag all exit 1 at parse time
+    assert run(["opnorm", "--op", fix("gram_op.json"), "--mode", "p"]) == 1
+    assert run(["opnorm", "--op", fix("gram_op.json"), "--budget", "many", "--seed", "9"]) == 1
+    assert run(["opnorm", "--seed", "5"]) == 1
+    assert run(argv + ["--out", after]) == 0
+    capsys.readouterr()
+    with open(before, "rb") as a, open(after, "rb") as b:
+        assert a.read() == b.read()
+    assert _read(after)["seed"] == 0
+
+
+def test_xplab_seed_is_read_on_every_run(fix, out, monkeypatch):
+    seeds = []
+    for value in ("3", "17"):
+        monkeypatch.setenv("XPLAB_SEED", value)
+        assert run(["opnorm", "--op", fix("gram_op.json"), "--budget", "8", "--out", out]) == 0
+        seeds.append(_read(out)["seed"])
+    assert seeds == [3, 17]
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, 0.0],
+    [1.0, -0.5],
+    [1.0, float("nan")],
+    [1.0, float("inf")],
+    [1.0, None],
+    [[1.0, 0.5]],
+    [1.0, [0.5]],
+    [],
+    [1.0] * (MAX_DIM + 1),
+])
+def test_bad_weights_are_usage_errors(weights, tmp_path, capsys):
+    path = str(tmp_path / "x.json")
+    with open(path, "w") as fh:
+        json.dump({"p": 4.0, "weights": weights, "entries": [[1, 1.0]]}, fh)
+    assert run(["norm", "--x", path]) == 1
+    assert "weights" in _single_error(capsys)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-90])
+def test_classify_kp_is_scale_free(fix, scale, tmp_path, out):
+    doc = _read(fix("vlist_span.json"))
+    base = str(tmp_path / "base.json")
+    assert run(["classify", "kp", "--v", fix("vlist_span.json"), "--C", "2.0", "--out", base]) == 0
+    doc["vectors"] = [[[i, v * scale] for i, v in vec] for vec in doc["vectors"]]
+    path = str(tmp_path / "scaled.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run(["classify", "kp", "--v", path, "--C", "2.0", "--out", out]) == 0
+    want, got = _read(base)["data"], _read(out)["data"]
+    assert got["label"] == want["label"]
+    for key in ("h_inf", "r_sup_tail"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12)

@@ -286,3 +286,14 @@ def test_defect_experiment_shape():
     assert out["qualified"] + out["skipped"] == 10
     if out["qualified"]:
         assert 0.0 <= out["worst_defect"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-90])
+def test_defect_is_scale_free(scale):
+    # at 1e200 the power sums of x at p = 4 overflow and at 1e-90 they
+    # underflow, so the search must run on a rescaled copy of x and Y
+    sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7, 0.9))
+    Y = [SpVector(sp, {1: 1.0}), SpVector(sp, {2: 1.0, 3: -0.5})]
+    x = SpVector(sp, {1: 0.3, 2: 1.0, 4: 0.7, 5: -0.2})
+    at = {s: defect_of(x * s, [y * s for y in Y], seed=0) for s in (1.0, scale)}
+    assert at[scale] == pytest.approx(at[1.0], rel=1e-12)

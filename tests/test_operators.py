@@ -304,3 +304,14 @@ def test_dense_window_cap_comes_before_the_matrix():
         assert not op.apply(x).is_zero()
     with pytest.raises(ValueError, match="exceeds dense cap"):
         DenseOperator(sp, np.zeros((d, d)))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-90])
+@pytest.mark.parametrize("estimate", [estimate_h_inf, estimate_r_sup])
+def test_span_extrema_are_scale_free(estimate, scale):
+    # at these scales every power sum of a span vector at p = 4 overflows or
+    # underflows, so the search must run on a rescaled copy of the span
+    sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7))
+    span = [{1: 1.0}, {2: 1.0, 3: -0.5}]
+    at = {s: estimate([SpVector(sp, v) * s for v in span], budget=64, seed=0) for s in (1.0, scale)}
+    assert at[scale] == pytest.approx(at[1.0], rel=1e-12)

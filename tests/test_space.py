@@ -153,3 +153,51 @@ def test_extremal_ratio_is_attained():
         y = SpVector(sp, {int(n): float(rng.standard_normal()) for n in I})
         if not y.is_zero():
             assert ratio(y) <= max_ratio(sp, I) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0, 0.0),
+    (1.0, -0.5),
+    (1.0, math.nan),
+    (1.0, math.inf),
+    (1.0, None),
+    ((1.0, 0.5),),
+    (1.0, (0.5,)),
+    (),
+    1.0,
+    (1.0,) * (MAX_DIM + 1),
+])
+def test_space_rejects_bad_weights(weights):
+    with pytest.raises(ValueError, match="weights"):
+        WeightedSpace(4.0, weights)
+
+
+def test_space_keeps_weights_as_floats_and_a_read_only_array():
+    sp = WeightedSpace(4.0, [1, np.float32(0.5), True])
+    assert sp.weights == (1.0, 0.5, 1.0)
+    assert all(type(v) is float for v in sp.weights)
+    assert sp.warray.tolist() == list(sp.weights)
+    with pytest.raises(ValueError):
+        sp.warray[0] = 2.0
+
+
+def test_spaces_built_apart_from_equal_weights_are_equal():
+    w = np.random.default_rng(2).uniform(0.1, 1.5, 4096)
+    a = WeightedSpace(4.5, tuple(w))
+    b = WeightedSpace(4.5, w.tolist())
+    assert a is not b and a.weights is not b.weights
+    assert a == b and hash(a) == hash(b)
+    x, y = SpVector(a, {1: 1.0, 7: 2.0}), SpVector(b, {7: 1.0})
+    assert inner(x, y) == pytest.approx(2.0 * w[6] ** 2, rel=1e-15)
+    assert WeightedSpace(5.0, tuple(w)) != a
+
+
+def test_spaces_one_ulp_apart_are_unequal():
+    w = np.random.default_rng(3).uniform(0.1, 1.5, 64)
+    a = WeightedSpace(4.0, tuple(w))
+    v = w.copy()
+    v[37] = np.nextafter(v[37], np.inf)
+    b = WeightedSpace(4.0, tuple(v))
+    assert a != b
+    with pytest.raises(SpaceMismatchError):
+        inner(SpVector(a, {1: 1.0}), SpVector(b, {1: 1.0}))
