@@ -500,11 +500,15 @@ def test_the_parser_is_built_once():
 
 
 def test_a_command_run_twice_writes_identical_reports(fix, tmp_path):
-    argv = ["classify", "kp", "--v", fix("vlist_span.json"), "--C", "2.0", "--budget", "32"]
+    # another command, with a subcommand and a seed, runs in between
+    argv = ["project", "--x", fix("x_pair.json"), "--projection", fix("projection_pair.json")]
+    other = ["classify", "kp", "--v", fix("vlist_span.json"), "--C", "2.0", "--budget", "32",
+             "--seed", "4", "--out", str(tmp_path / "other.json")]
     texts = []
     for k in range(2):
         path = str(tmp_path / f"r{k}.json")
         assert run(argv + ["--out", path]) == 0
+        assert run(other) == 0
         with open(path, "rb") as fh:
             texts.append(fh.read())
     assert texts[0] == texts[1]
