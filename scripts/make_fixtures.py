@@ -92,6 +92,11 @@ def main() -> None:
             "c": 2.0,
         },
     )
+    # the same block with delta and c left out, to be derived as the tightest valid ones
+    put(
+        "block_tight.json",
+        {"support": [1, 2, 3], "E": [1, 2], "entries": blocks[0]["entries"]},
+    )
 
     put(
         "gram_op.json",

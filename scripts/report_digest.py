@@ -4,7 +4,8 @@ Run from anywhere:  python3 scripts/report_digest.py OUTDIR
 
 Every CLI subcommand runs once over the documents in tests/fixtures (opnorm
 on a block, a matrix and a Gram operator in both modes; split with full and
-with {delta, c, eps} constants), then ``batch`` on batch_small.json and the
+with {delta, c, eps} constants; blocks check with given and with derived
+constants; weights gen with a D that cuts through a level), then ``batch`` on batch_small.json and the
 eight experiments at seed 0 and scale 0.05. Each report goes to
 OUTDIR/<name>.json and the exit codes to OUTDIR/exit_codes.json. Commands
 run in-process from the repository root with XPLAB_SEED unset, so two trees
@@ -53,6 +54,8 @@ def commands() -> dict[str, list[str]]:
         "blocks-rosenthal": ["blocks", "rosenthal", "--space", _fix("space_pair.json"), "--I", "1,2"],
         "blocks-check": ["blocks", "check", "--block", _fix("block_good.json"),
                          "--space", _fix("space_small.json")],
+        "blocks-check-tight": ["blocks", "check", "--block", _fix("block_tight.json"),
+                               "--space", _fix("space_small.json")],
         "project": ["project", "--x", _fix("x_pair.json"),
                     "--projection", _fix("projection_pair.json")],
     }
@@ -78,6 +81,8 @@ def commands() -> dict[str, list[str]]:
                         "--projection", _fix("projection_small.json"), "--K", "1.2",
                         "--window", "2"],
         "weights-gen": ["weights", "gen", "--family", _fix("family_powerlaw.json"), "--D", "3"],
+        # levels of 1, 4, 9, ... copies: D = 10 cuts through the third level
+        "weights-gen-cut": ["weights", "gen", "--family", _fix("family_doubly.json"), "--D", "10"],
         "weights-diag": ["weights", "diag", "--family", _fix("family_doubly.json"), "--eps", "0.9",
                          "--D-list", "8,16,32", "--p", "4.0"],
         "batch": ["batch", "--config", _fix("batch_small.json")],

@@ -5,193 +5,26 @@ norm and bound is a finite computation, and every checker reports both sides
 of its inequality.
 """
 
-from .space import (
-    MAX_DIM,
-    SpaceMismatchError,
-    SpVector,
-    SupportSet,
-    WeightedSpace,
-    basis_vector,
-    from_pairs,
-    head_proj,
-    inner,
-    max_ratio,
-    norm_2w,
-    norm_p,
-    omega,
-    ratio,
-    restrict,
-    tail_proj,
-    xp_norm,
-)
-from .blocks import (
-    Block,
-    HolderBounds,
-    RosenthalBlock,
-    extremality_check,
-    functional_apply,
-    holder_bounds,
-    make_block,
-    make_rosenthal,
-)
-from .operators import (
-    BlockProjection,
-    BlockSystem,
-    DenseOperator,
-    GramProjector,
-    OpNormEstimate,
-    estimate_h_inf,
-    estimate_opnorm,
-    estimate_r_sup,
-    opnorm_upper,
-    prop12_bound,
-    prop26_chain,
-    ratio_bounds_check,
-)
-from .criteria import (
-    Check,
-    CriterionReport,
-    Thm13Witness,
-    WitnessInfeasibleError,
-    check,
-    check_proof_bounds,
-    check_prop24,
-    check_thm13,
-    defect_experiment,
-    defect_of,
-    extract_Ei,
-    gen_thm13_witnesses,
-    kp_classify,
-    mk_family,
-    prop21_diagnostic,
-    verdict,
-)
-from .splitter import (
-    InfeasibleConstantsError,
-    SplitConstants,
-    SplitResult,
-    solve_constants,
-    split,
-)
-from .serialize import (
-    SerializationError,
-    block_to_doc,
-    canonical_dumps,
-    doc_to_block,
-    doc_to_constants,
-    doc_to_family,
-    doc_to_operator,
-    doc_to_space,
-    doc_to_vector,
-    doc_to_witness,
-    dump_json,
-    family_to_doc,
-    load_json,
-    space_to_doc,
-    vector_to_doc,
-    witness_to_doc,
-)
-from .report import ARTIFACT_VERSION, Report, csv_rows
-from .weights import (
-    WeightFamily,
-    constant_family,
-    doubly_indexed_family,
-    equal_mass_family,
-    explicit_family,
-    generate,
-    geometric_family,
-    power_law_family,
-    rosenthal_diagnostic,
-)
+from . import blocks, criteria, operators, report, serialize, space, splitter, weights
+from .blocks import *  # noqa: F401,F403
+from .criteria import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .report import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from .space import *  # noqa: F401,F403
+from .splitter import *  # noqa: F401,F403
+from .weights import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_DIM",
-    "SpaceMismatchError",
-    "SpVector",
-    "SupportSet",
-    "WeightedSpace",
-    "basis_vector",
-    "from_pairs",
-    "head_proj",
-    "inner",
-    "max_ratio",
-    "norm_2w",
-    "norm_p",
-    "omega",
-    "ratio",
-    "restrict",
-    "tail_proj",
-    "xp_norm",
-    "Block",
-    "HolderBounds",
-    "RosenthalBlock",
-    "extremality_check",
-    "functional_apply",
-    "holder_bounds",
-    "make_block",
-    "make_rosenthal",
-    "BlockProjection",
-    "BlockSystem",
-    "DenseOperator",
-    "GramProjector",
-    "OpNormEstimate",
-    "estimate_h_inf",
-    "estimate_opnorm",
-    "estimate_r_sup",
-    "opnorm_upper",
-    "prop12_bound",
-    "prop26_chain",
-    "ratio_bounds_check",
-    "Check",
-    "CriterionReport",
-    "Thm13Witness",
-    "WitnessInfeasibleError",
-    "check",
-    "check_proof_bounds",
-    "check_prop24",
-    "check_thm13",
-    "defect_experiment",
-    "defect_of",
-    "extract_Ei",
-    "gen_thm13_witnesses",
-    "kp_classify",
-    "mk_family",
-    "prop21_diagnostic",
-    "verdict",
-    "InfeasibleConstantsError",
-    "SplitConstants",
-    "SplitResult",
-    "solve_constants",
-    "split",
-    "SerializationError",
-    "block_to_doc",
-    "canonical_dumps",
-    "doc_to_block",
-    "doc_to_constants",
-    "doc_to_family",
-    "doc_to_operator",
-    "doc_to_space",
-    "doc_to_vector",
-    "doc_to_witness",
-    "dump_json",
-    "family_to_doc",
-    "load_json",
-    "space_to_doc",
-    "vector_to_doc",
-    "witness_to_doc",
-    "ARTIFACT_VERSION",
-    "Report",
-    "csv_rows",
-    "WeightFamily",
-    "constant_family",
-    "doubly_indexed_family",
-    "equal_mass_family",
-    "explicit_family",
-    "generate",
-    "geometric_family",
-    "power_law_family",
-    "rosenthal_diagnostic",
+    *space.__all__,
+    *blocks.__all__,
+    *operators.__all__,
+    *criteria.__all__,
+    *splitter.__all__,
+    *serialize.__all__,
+    *report.__all__,
+    *weights.__all__,
     "__version__",
 ]

@@ -6,10 +6,12 @@ thousands of vectors without per-vector Python overhead. Tests cross-check
 them against the sparse reference. A window is a sorted array of 1-based
 indices; the operators of :mod:`xplab.operators` carry one as ``window``
 next to their ``matrix``, and the weights and columns here are laid out
-over it. The coordinate search every estimator polishes its columns with
-lives here too. It searches over affine images c + M X of the columns and
-carries them with their power sums, so a step on one coordinate recomputes
-only the image rows that the step touches.
+over it. Every seeded stream of the package is built here, by ``_child``,
+and the seeded start columns of the estimators by ``_sample_columns``. The
+coordinate search every estimator polishes its columns with lives here too.
+It searches over affine images c + M X of the columns and carries them with
+their power sums, so a step on one coordinate recomputes only the image rows
+that the step touches.
 """
 
 from __future__ import annotations
@@ -17,6 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from .space import WeightedSpace
+
+
+def _child(seed: int, *branch: int) -> np.random.Generator:
+    """The generator of the stream (seed, *branch): PCG64 seeded by SeedSequence([seed, *branch])."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, branch)]))
+
+
+def _sample_columns(d: int, n: int, *branch: int) -> np.ndarray:
+    """n standard-normal columns of length d; column k comes from _child(*branch, k)."""
+    cols = np.empty((d, n))
+    for k in range(n):
+        cols[:, k] = _child(*branch, k).standard_normal(d)
+    return cols
 
 
 def window_weights(space: WeightedSpace, idx: np.ndarray) -> np.ndarray:

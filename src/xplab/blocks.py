@@ -106,13 +106,16 @@ def make_rosenthal(space: WeightedSpace, I) -> RosenthalBlock:
 def make_block(
     vector: SpVector,
     E,
-    delta: float,
-    c: float,
+    delta: float | None = None,
+    c: float | None = None,
     *,
     require: bool = True,
 ) -> Block:
     """Build a block from a vector, a subset of its support and (delta, c).
 
+    An omitted constant is the tightest valid one, which turns its condition
+    into an equality: delta = norm_2w(z_E) / norm_2w(z) and
+    c = omega(E) ** ((p-2)/2p) / norm_2w(z_E). Deriving one needs mass on E.
     With require=True (default) a violated condition raises, naming it.
     With require=False the block is built anyway and the condition verdicts
     are recorded; this is how counterexample inputs are constructed.
@@ -123,15 +126,17 @@ def make_block(
     Eset = E if isinstance(E, SupportSet) else SupportSet.of(E)
     if not Eset.issubset(sup):
         raise ValueError("E must be a subset of the block support")
-    delta = float(delta)
-    c = float(c)
-    if delta <= 0 or c <= 0:
-        raise ValueError("delta and c must be positive")
-    space = vector.space
     core2 = norm_2w(restrict(vector, Eset))
     full2 = norm_2w(vector)
+    cap = max_ratio(vector.space, Eset)
+    if (delta is None or c is None) and core2 == 0.0:
+        raise ValueError("block has zero mass on its E-set")
+    delta = core2 / full2 if delta is None else float(delta)
+    c = cap / core2 if c is None else float(c)
+    if delta <= 0 or c <= 0:
+        raise ValueError("delta and c must be positive")
     a_ok = core2 >= delta * full2 * (1.0 - SLACK)
-    b_ok = c * core2 >= max_ratio(space, Eset) * (1.0 - SLACK)
+    b_ok = c * core2 >= cap * (1.0 - SLACK)
     if require:
         if not a_ok:
             raise ValueError(
@@ -139,8 +144,7 @@ def make_block(
             )
         if not b_ok:
             raise ValueError(
-                f"condition b fails: c * {core2:.6g} < omega(E)^ratio_exp "
-                f"= {max_ratio(space, Eset):.6g}"
+                f"condition b fails: c * {core2:.6g} < omega(E)^ratio_exp = {cap:.6g}"
             )
     return Block(sup, Eset, vector, delta, c, bool(a_ok), bool(b_ok))
 

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .blocks import make_rosenthal
+from .blocks import make_block, make_rosenthal
 from .criteria import (
     check,
     check_proof_bounds,
@@ -37,6 +37,7 @@ from .operators import BlockProjection, estimate_opnorm, opnorm_upper, prop12_bo
 from .report import Report, csv_rows
 from .serialize import (
     SerializationError,
+    block_to_doc,
     doc_to_block,
     doc_to_constants,
     doc_to_family,
@@ -248,16 +249,8 @@ def _cmd_norm(args, seed):
 def _cmd_blocks(args, seed):
     space = doc_to_space(load_json(args.space))
     if args.sub == "rosenthal":
-        I = _indices(args.I)
-        blk = make_rosenthal(space, I)
-        block = {
-            "support": blk.support,
-            "E": blk.support,
-            "entries": blk.vector,
-            "delta": 1.0,
-            "c": max_ratio(space, I) / norm_2w(blk.vector),
-        }
-        return [], {"block": block}
+        blk = make_rosenthal(space, _indices(args.I))
+        return [], {"block": block_to_doc(make_block(blk.vector, blk.support))}
     blk = doc_to_block(load_json(args.block), space, require=False)
     core2 = norm_2w(blk.core())
     checks = [

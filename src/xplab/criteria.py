@@ -623,11 +623,7 @@ def defect_of(
     starts = [np.zeros((k, 1))]
     lsq, *_ = np.linalg.lstsq(B * w[:, None], xcol * w, rcond=None)
     starts.append(lsq[:, None])
-    cols = np.empty((k, 3))
-    for j in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7919, j]))
-        cols[:, j] = rng.standard_normal(k)
-    starts.append(cols)
+    starts.append(_dense._sample_columns(k, 3, seed, 7919))
     A0 = np.concatenate(starts, axis=1)
 
     def cost(Sp, S2):
@@ -651,21 +647,12 @@ def defect_of(
     return float(np.min(f)) / denom
 
 
-def defect_experiment(
-    Y: Sequence[SpVector],
-    alpha: float,
-    samples: int,
-    seed: int = 0,
-    *,
-    max_support: int = 8,
-    from_span: bool = False,
-) -> dict:
-    """Sample low-ratio vectors and report how far they sit from span(Y).
+def defect_experiment(Y: Sequence[SpVector], alpha: float, samples: int, seed: int = 0) -> dict:
+    """Sample low-ratio vectors of span(Y) and report how far they sit from it.
 
-    Draws ``samples`` seeded random sparse vectors (or span combinations when
-    from_span is set), keeps those with ratio below alpha, and reports the
-    worst relative defect together with its witness. The zero-coefficient
-    start caps every defect at 1, and disjoint-support witnesses hit exactly 1.
+    Draws ``samples`` seeded random combinations of Y, keeps those with ratio
+    below alpha, and reports the worst relative defect together with its
+    witness. The zero-coefficient start caps every defect at 1.
     """
     Y = tuple(Y)
     if not Y:
@@ -680,18 +667,9 @@ def defect_experiment(
     worst = None
     skipped = 0
     for s in range(int(samples)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), s]))
-        if from_span:
-            coeff = rng.standard_normal(len(Y))
-            x = SpVector(space, {})
-            for t, v in zip(coeff, Y):
-                x = x + float(t) * v
-        else:
-            size = int(rng.integers(1, max_support + 1))
-            size = min(size, space.dim)
-            picks = rng.choice(np.arange(1, space.dim + 1), size=size, replace=False)
-            vals = rng.standard_normal(size)
-            x = SpVector(space, {int(i): float(v) for i, v in zip(picks, vals)})
+        x = SpVector(space, {})
+        for t, v in zip(_dense._child(seed, s).standard_normal(len(Y)), Y):
+            x = x + float(t) * v
         if x.is_zero():
             skipped += 1
             continue

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _dense
 from ._dense import col_norm, window_weights
 from .blocks import HolderBounds, holder_bounds, make_block, make_rosenthal
 from .criteria import (
@@ -52,16 +53,11 @@ from .space import (
     norm_2w,
     norm_p,
     ratio,
-    restrict,
     xp_norm,
 )
 from .splitter import solve_constants, split
 
 __all__ = ["DRIVERS", "run_experiment"]
-
-
-def _child(seed: int, *branch: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, branch)]))
 
 
 # -- criterion 1 --------------------------------------------------------------
@@ -70,7 +66,7 @@ def run_rosenthal_identities(trials: int = 1000, seed: int = 0) -> CriterionRepo
     """Closed forms for extremal blocks across random spaces."""
     worst = 0.0
     for k in range(int(trials)):
-        rng = _child(seed, 1, k)
+        rng = _dense._child(seed, 1, k)
         p = float(rng.uniform(2.1, 8.0))
         dim = 48
         w = rng.uniform(1e-3, 2.0, size=dim)
@@ -141,7 +137,7 @@ class _HolderSides(NamedTuple):
 
 def _draw_holder_chunk(seed: int, chunk: int, n: int = HOLDER_CHUNK) -> _HolderDraw:
     """The first n trials of a chunk; a full chunk is drawn, so they never depend on n."""
-    rng = _child(seed, 2, chunk)
+    rng = _dense._child(seed, 2, chunk)
     m, dim = HOLDER_CHUNK, HOLDER_DIM
     p = rng.uniform(2.1, 8.0, size=m)
     w = rng.uniform(1e-3, 2.0, size=(m, dim))
@@ -272,12 +268,9 @@ def _holder_block(d: _HolderDraw, j: int):
     if (d.k0 + j) % 2 == 0:
         return make_rosenthal(sp, I)
     z = SpVector(sp, dict(zip(I, (float(v) for v in d.vals[j, :size]))))
-    E = I[: int(d.esize[j])]
-    core = restrict(z, E)
-    c_cond = max_ratio(sp, E) / norm_2w(core)
+    tight = make_block(z, I[: int(d.esize[j])])
     c_adm = max_ratio(sp, I) * norm_p(z) / norm_2w(z)
-    c = max(c_cond, c_adm) * float(d.u[j])
-    return make_block(z, E, norm_2w(core) / norm_2w(z), c)
+    return make_block(z, tight.Eset, c=max(tight.c, c_adm) * float(d.u[j]))
 
 
 def _holder_trial(d: _HolderDraw, j: int) -> HolderBounds | None:
@@ -342,7 +335,7 @@ def run_holder_pairs(trials: int = 100_000, seed: int = 0) -> CriterionReport:
 
 def _random_system(seed: int, branch: int):
     """A valid normalized block system with tight derived constants."""
-    rng = _child(seed, 3, branch)
+    rng = _dense._child(seed, 3, branch)
     p = float(rng.uniform(2.2, 7.0))
     dim = 160
     w = rng.uniform(0.05, 2.0, size=dim)
@@ -359,10 +352,7 @@ def _random_system(seed: int, branch: int):
         vec = vec * (1.0 / xp_norm(vec))
         esize = int(rng.integers(1, size + 1))
         E = sorted(int(i) for i in rng.choice(np.asarray(I), size=esize, replace=False))
-        core = restrict(vec, E)
-        dj = norm_2w(core) / norm_2w(vec)
-        cj = max_ratio(sp, E) / norm_2w(core)
-        blocks.append(make_block(vec, E, dj, cj))
+        blocks.append(make_block(vec, E))
     return BlockSystem(tuple(blocks)), rng
 
 
@@ -407,7 +397,7 @@ def run_opnorm_oracle(count: int = 50, seed: int = 0) -> CriterionReport:
     """Operator-norm estimator (sampled xp, SVD 2w) against the dense-grid oracle at d <= 6."""
     worst = 0.0
     for k in range(int(count)):
-        rng = _child(seed, 4, k)
+        rng = _dense._child(seed, 4, k)
         d = int(rng.integers(2, 7))
         p = float(rng.uniform(2.1, 8.0))
         w = rng.uniform(0.05, 2.0, size=d)
@@ -424,6 +414,17 @@ def run_opnorm_oracle(count: int = 50, seed: int = 0) -> CriterionReport:
 
 # -- criterion 5 --------------------------------------------------------------
 
+def _sparse_case(seed: int, branch: int, k: int):
+    """The stream (seed, branch, k), a support F of 1..16 of 48 indices, and y on F."""
+    rng = _dense._child(seed, branch, k)
+    p = float(rng.uniform(2.1, 8.0))
+    dim = 48
+    sp = WeightedSpace(p, tuple(rng.uniform(0.05, 2.0, size=dim)))
+    size = int(rng.integers(1, 17))
+    F = sorted(int(i) for i in rng.choice(np.arange(1, dim + 1), size=size, replace=False))
+    return rng, F, SpVector(sp, {i: float(v) for i, v in zip(F, rng.standard_normal(size))})
+
+
 def run_thm13_machinery(
     gen_configs: int = 60,
     extract_cases: int = 10_000,
@@ -435,7 +436,7 @@ def run_thm13_machinery(
     gen_total = 0
     gen_pass = 0
     for k in range(int(gen_configs)):
-        rng = _child(seed, 51, k)
+        rng = _dense._child(seed, 51, k)
         p = float(rng.uniform(2.1, 6.0))
         dim = 256
         w = rng.uniform(0.02, 0.3, size=dim)
@@ -452,14 +453,7 @@ def run_thm13_machinery(
 
     mono_bad = 0
     for k in range(int(extract_cases)):
-        rng = _child(seed, 52, k)
-        p = float(rng.uniform(2.1, 8.0))
-        dim = 48
-        w = rng.uniform(0.05, 2.0, size=dim)
-        sp = WeightedSpace(p, tuple(w))
-        size = int(rng.integers(1, 17))
-        F = sorted(int(i) for i in rng.choice(np.arange(1, dim + 1), size=size, replace=False))
-        y = SpVector(sp, {i: float(v) for i, v in zip(F, rng.standard_normal(size))})
+        rng, F, y = _sparse_case(seed, 52, k)
         if y.is_zero():
             continue
         r1, r2 = sorted(rng.uniform(0.01, 2.0, size=2))
@@ -470,14 +464,7 @@ def run_thm13_machinery(
 
     bound_viol = 0
     for k in range(int(bound_cases)):
-        rng = _child(seed, 53, k)
-        p = float(rng.uniform(2.1, 8.0))
-        dim = 48
-        w = rng.uniform(0.05, 2.0, size=dim)
-        sp = WeightedSpace(p, tuple(w))
-        size = int(rng.integers(1, 17))
-        F = sorted(int(i) for i in rng.choice(np.arange(1, dim + 1), size=size, replace=False))
-        y = SpVector(sp, {i: float(v) for i, v in zip(F, rng.standard_normal(size))})
+        rng, F, y = _sparse_case(seed, 53, k)
         if y.is_zero():
             continue
         y = y * (1.0 / xp_norm(y))
@@ -531,7 +518,7 @@ def _split_instance(seed: int, branch: int):
     below the extraction threshold and carry the 2w-mass, placing ratio(x)
     inside (alpha, beta).
     """
-    rng = _child(seed, 6, branch)
+    rng = _dense._child(seed, 6, branch)
     p = float(rng.uniform(3.5, 7.5))
     delta = float(rng.uniform(0.1, 0.4))
     eps = float(rng.uniform(0.05, 0.3))
@@ -574,7 +561,7 @@ def run_splitter(
     """Constant-system fuzz against direct substitution, then split claims."""
     fuzz_bad = 0
     for k in range(int(fuzz)):
-        rng = _child(seed, 61, k)
+        rng = _dense._child(seed, 61, k)
         p = float(rng.uniform(2.05, 9.0))
         normP2 = float(rng.uniform(0.5, 3.0))
         normP = float(rng.uniform(0.5, 4.0))
@@ -645,7 +632,7 @@ def run_gram_chains(spans: int = 100, per_span: int = 100, seed: int = 0) -> Cri
     chain_bad = 0
     pairs = 0
     for s in range(int(spans)):
-        rng = _child(seed, 7, s)
+        rng = _dense._child(seed, 7, s)
         p = float(rng.uniform(2.2, 7.0))
         dim = 40
         w = rng.uniform(0.1, 1.5, size=dim)
@@ -711,9 +698,7 @@ def run_defect(samples: int = 60, seed: int = 0) -> CriterionReport:
     forced = defect_of(x, Y, seed=seed)
 
     alpha = max(ratio(v) for v in Y) * 2.0
-    survey = defect_experiment(
-        Y, alpha=alpha, samples=int(samples), seed=seed, from_span=True
-    )
+    survey = defect_experiment(Y, alpha=alpha, samples=int(samples), seed=seed)
     worst = survey["worst_defect"] if survey["worst_defect"] is not None else 0.0
     checks = (
         check("forced_disjoint_defect", abs(forced - 1.0), "<=", 1e-9),

@@ -154,23 +154,15 @@ class BlockProjection:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        # column j of Z is block j's vector, column j of F its functional
         idx = self.window
-        d = len(idx)
-        _check_cap(d)
-        pos = {int(i): k for k, i in enumerate(idx)}
-        w = window_weights(self.space, idx)
-        M = np.zeros((d, d))
-        for b in self.system.blocks:
-            core = b.core()
-            denom = norm_2w(core) ** 2
-            zcol = np.zeros(d)
-            frow = np.zeros(d)
-            for i, v in b.vector.entries.items():
-                zcol[pos[i]] = v
-            for i, v in core.entries.items():
-                frow[pos[i]] = v * w[pos[i]] ** 2 / denom
-            M += np.outer(zcol, frow)
-        return M
+        _check_cap(len(idx))
+        blocks = self.system.blocks
+        cores = [b.core() for b in blocks]
+        Z = vectors_to_cols([b.vector for b in blocks], idx)
+        F = vectors_to_cols(cores, idx) * window_weights(self.space, idx)[:, None] ** 2
+        F /= np.array([norm_2w(core) ** 2 for core in cores])
+        return Z @ F.T
 
     def apply(self, x: SpVector) -> SpVector:
         """Apply the block projection to x.
@@ -342,14 +334,6 @@ class OpNormEstimate:
     witness: SpVector
 
 
-def _sample_columns(d: int, budget: int, seed: int) -> np.ndarray:
-    cols = np.empty((d, budget))
-    for k in range(budget):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
-        cols[:, k] = rng.standard_normal(d)
-    return cols
-
-
 def _ascend(score, images, w, p, X: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate ascent of a scale-invariant score, steps relative to each column."""
     scale = np.maximum(np.max(np.abs(X), axis=0), 1e-12)
@@ -420,7 +404,7 @@ def estimate_opnorm(
         col = np.linalg.svd(M)[2][0] / w
     else:
         d = len(op.window)
-        X = _sample_columns(d, int(budget), int(seed))
+        X = _dense._sample_columns(d, int(budget), seed)
         A = op.matrix
         # |A x| <= max|A| ||x||_1, and the ascent moves an entry of x by at
         # most half the column's starting scale per round
@@ -476,7 +460,7 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
     k = B.shape[1]
     starts = [np.eye(k)]
     if budget > 0:
-        starts.append(_sample_columns(k, int(budget), int(seed)))
+        starts.append(_dense._sample_columns(k, int(budget), seed))
     A0 = np.concatenate(starts, axis=1)
     rounds = 20
     # |B a| <= max|B| ||a||_1, and the ascent moves an entry of a by at most

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .criteria import Check, verdict
 from .serialize import canonical_dumps
 
-__all__ = ["Report", "csv_rows"]
+__all__ = ["ARTIFACT_VERSION", "Report", "csv_rows"]
 
 ARTIFACT_VERSION = "0.1.0"
 

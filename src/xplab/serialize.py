@@ -16,7 +16,7 @@ import numpy as np
 from .blocks import Block, make_block
 from .criteria import Thm13Witness
 from .operators import BlockProjection, BlockSystem, DenseOperator, GramProjector
-from .space import SpVector, SupportSet, WeightedSpace, max_ratio, norm_2w, restrict
+from .space import SpVector, SupportSet, WeightedSpace
 from .splitter import SplitConstants
 from .weights import WeightFamily, generate
 
@@ -206,17 +206,8 @@ def doc_to_block(doc: dict, space: WeightedSpace, *, require: bool = True) -> Bl
         for k in ("delta", "c")
     )
     try:
-        vec = SpVector(space, entries)
         # absent constants mean "tightest valid": equality in both conditions
-        if delta is None or c is None:
-            core2 = norm_2w(restrict(vec, E))
-            if core2 == 0.0:
-                raise ValueError("block has zero mass on its E-set")
-            if delta is None:
-                delta = core2 / norm_2w(vec)
-            if c is None:
-                c = max_ratio(space, E) / core2
-        blk = make_block(vec, E, delta, c, require=require)
+        blk = make_block(SpVector(space, entries), E, delta, c, require=require)
     except ValueError as exc:
         raise SerializationError(f"block document: {exc}") from exc
     if "support" in doc and _index_set(doc["support"], "block field 'support'") != blk.support:

@@ -26,7 +26,19 @@ __all__ = [
     "rosenthal_diagnostic",
 ]
 
-KINDS = ("constant", "power-law", "geometric", "doubly-indexed", "explicit")
+_POSITIVE = (lambda v: 0 < v < math.inf, "> 0")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, ">= 0")
+
+# kind -> parameter -> (default, the range it must lie in, as a test and as
+# text). An explicit family's one parameter, its list of values, has no default.
+PARAMS = {
+    "constant": {"value": (1.0, _POSITIVE)},
+    "power-law": {"a": (0.0, _NONNEGATIVE)},
+    "geometric": {"ratio": (0.5, (lambda v: 0 < v < 1, "in (0, 1)")), "scale": (1.0, _POSITIVE)},
+    "doubly-indexed": {"level_exp": (0.25, _NONNEGATIVE), "mult_exp": (1.0, _NONNEGATIVE)},
+    "explicit": {"values": None},
+}
+KINDS = tuple(PARAMS)
 
 # S(eps, 2D)/S(eps, D) at or above this across a doubling reads as divergent.
 DIVERGENCE_RATIO = 1.5
@@ -36,7 +48,7 @@ DIVERGENCE_RATIO = 1.5
 class WeightFamily:
     """A named rule for producing the first D weights.
 
-    kinds and their params:
+    kinds and their params (defaults and ranges in PARAMS):
 
     * "constant": {"value": c}, w_n = c
     * "power-law": {"a": a}, w_n = n ** -a
@@ -44,6 +56,9 @@ class WeightFamily:
     * "doubly-indexed": {"level_exp": a, "mult_exp": b}, level weight
       k ** -a repeated ceil(k ** b) times, flattened and cut at D
     * "explicit": {"values": [...]}
+
+    Construction fills in the defaults, converts every parameter to float and
+    refuses a parameter the kind does not take.
     """
 
     kind: str
@@ -54,8 +69,7 @@ class WeightFamily:
         if self.kind not in KINDS:
             raise ValueError(f"unknown weight family kind {self.kind!r}")
         object.__setattr__(self, "D", _length(self.D))
-        object.__setattr__(self, "params", dict(self.params))
-        _validate_params(self.kind, self.params, self.D)
+        object.__setattr__(self, "params", _params(self.kind, dict(self.params), self.D))
 
 
 def _length(D) -> int:
@@ -75,57 +89,52 @@ def _scalar(name: str, v) -> float:
         raise ValueError(f"weight family parameter {name!r} must be a number, got {v!r}") from None
 
 
-def _validate_params(kind: str, params: dict, D: int) -> None:
-    if kind == "constant":
-        v = _scalar("value", params.get("value", 1.0))
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError("constant family needs value > 0")
-    elif kind == "power-law":
-        a = _scalar("a", params.get("a", 0.0))
-        if a < 0 or not math.isfinite(a):
-            raise ValueError("power-law family needs a >= 0")
-    elif kind == "geometric":
-        q = _scalar("ratio", params.get("ratio", 0.5))
-        s = _scalar("scale", params.get("scale", 1.0))
-        if not (0 < q < 1):
-            raise ValueError("geometric family needs ratio in (0, 1)")
-        if not (s > 0 and math.isfinite(s)):
-            raise ValueError("geometric family needs scale > 0")
-    elif kind == "doubly-indexed":
-        a = _scalar("level_exp", params.get("level_exp", 0.25))
-        b = _scalar("mult_exp", params.get("mult_exp", 1.0))
-        if a < 0 or b < 0:
-            raise ValueError("doubly-indexed family needs nonnegative exponents")
-    elif kind == "explicit":
-        vals = params.get("values")
+def _covers(values: list, D: int) -> None:
+    if len(values) < D:
+        raise ValueError(f"explicit family has {len(values)} values, needs {D}")
+
+
+def _params(kind: str, raw: dict, D: int) -> dict:
+    """The parameters of a family of this kind and length D, checked, with defaults filled in."""
+    table = PARAMS[kind]
+    for name in raw:
+        if name not in table:
+            raise ValueError(f"a {kind} family has no parameter {name!r}; it takes {', '.join(table)}")
+    if kind == "explicit":
+        vals = raw.get("values")
         if not isinstance(vals, (list, tuple)) or not vals:
             raise ValueError("explicit family needs a nonempty list of values")
-        if len(vals) < D:
-            raise ValueError(f"explicit family has {len(vals)} values, needs {D}")
-        if any(not (v > 0 and math.isfinite(v)) for v in [_scalar("values", v) for v in vals]):
+        vals = [_scalar("values", v) for v in vals]
+        _covers(vals, D)
+        if not all(0 < v < math.inf for v in vals):
             raise ValueError("explicit family values must be positive and finite")
+        return {"values": vals}
+    out = {}
+    for name, (default, (inside, text)) in table.items():
+        out[name] = _scalar(name, raw.get(name, default))
+        if not inside(out[name]):
+            raise ValueError(f"{kind} family needs {name} {text}")
+    return out
 
 
 def constant_family(value: float, D: int) -> WeightFamily:
-    return WeightFamily("constant", D, {"value": float(value)})
+    return WeightFamily("constant", D, {"value": value})
 
 
 def power_law_family(a: float, D: int) -> WeightFamily:
-    return WeightFamily("power-law", D, {"a": float(a)})
+    return WeightFamily("power-law", D, {"a": a})
 
 
 def geometric_family(ratio: float, D: int, scale: float = 1.0) -> WeightFamily:
-    return WeightFamily("geometric", D, {"ratio": float(ratio), "scale": float(scale)})
+    return WeightFamily("geometric", D, {"ratio": ratio, "scale": scale})
 
 
 def doubly_indexed_family(level_exp: float, mult_exp: float, D: int) -> WeightFamily:
-    return WeightFamily(
-        "doubly-indexed", D, {"level_exp": float(level_exp), "mult_exp": float(mult_exp)}
-    )
+    return WeightFamily("doubly-indexed", D, {"level_exp": level_exp, "mult_exp": mult_exp})
 
 
 def explicit_family(values) -> WeightFamily:
-    vals = [float(v) for v in values]
+    vals = list(values)
     return WeightFamily("explicit", len(vals), {"values": vals})
 
 
@@ -144,29 +153,29 @@ def equal_mass_family(p: float, D: int, level_exp: float = 0.25) -> WeightFamily
 def generate(f: WeightFamily, D: int | None = None) -> list[float]:
     """Materialize the first D weights of the family (default: f.D)."""
     D = f.D if D is None else _length(D)
-    _validate_params(f.kind, f.params, D)
+    P = f.params
     if f.kind == "constant":
-        return [float(f.params.get("value", 1.0))] * D
+        return [P["value"]] * D
     if f.kind == "power-law":
-        a = float(f.params.get("a", 0.0))
+        a = P["a"]
         return [n ** (-a) for n in range(1, D + 1)]
     if f.kind == "geometric":
-        q = float(f.params.get("ratio", 0.5))
-        s = float(f.params.get("scale", 1.0))
+        q, s = P["ratio"], P["scale"]
         return [s * q**n for n in range(1, D + 1)]
     if f.kind == "doubly-indexed":
-        a = float(f.params.get("level_exp", 0.25))
-        b = float(f.params.get("mult_exp", 1.0))
+        a, b = P["level_exp"], P["mult_exp"]
         out: list[float] = []
         k = 1
         while len(out) < D:
-            copies = int(math.ceil(k**b)) if b > 0 else 1
-            out.extend([k ** (-a)] * copies)
+            try:
+                copies = math.ceil(k**b)
+            except OverflowError:  # k ** b beyond the double range is more than D copies
+                copies = D
+            out.extend([k ** (-a)] * min(copies, D - len(out)))
             k += 1
-        return out[:D]
-    if f.kind == "explicit":
-        return [float(v) for v in f.params["values"][:D]]
-    raise AssertionError(f.kind)
+        return out
+    _covers(P["values"], D)
+    return P["values"][:D]
 
 
 def rosenthal_diagnostic(f: WeightFamily, eps: float, D_list, p: float) -> dict:

@@ -396,6 +396,7 @@ def test_help_exits_zero(capsys):
     ({"kind": "constant", "value": 1.0, "D": [4]}, "length D"),
     ({"kind": "explicit", "values": 3}, "'values'"),
     ({"kind": "explicit", "values": [1.0, [2.0]]}, "'values'"),
+    ({"kind": "power-law", "alpha": 0.3, "D": 4}, "'alpha'"),
 ])
 def test_weights_non_scalar_field_is_usage_error(fam, field, capsys):
     assert run(["weights", "gen", "--family", json.dumps(fam)]) == 1
@@ -403,6 +404,15 @@ def test_weights_non_scalar_field_is_usage_error(fam, field, capsys):
     assert "Traceback" not in captured.out + captured.err
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and field in errors[0]
+
+
+@pytest.mark.parametrize("mult_exp", [61.5, 1e300])
+def test_weights_doubly_indexed_level_longer_than_D(mult_exp, out):
+    # level 2 asks for ceil(2^b) copies: at b = 61.5 more than a list can hold,
+    # and at b = 1e300 more than a double can count; D = 4 takes three of them
+    fam = {"kind": "doubly-indexed", "level_exp": 0.25, "mult_exp": mult_exp, "D": 4}
+    assert run(["weights", "gen", "--family", json.dumps(fam), "--out", out]) == 0
+    assert _read(out)["data"]["weights"] == [1.0] + [2.0 ** -0.25] * 3
 
 
 def test_weights_length_beyond_cap_is_usage_error(fix, capsys):

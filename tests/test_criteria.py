@@ -281,7 +281,7 @@ def test_defect_never_exceeds_one():
 def test_defect_experiment_shape():
     sp = WeightedSpace(4.0, tuple([0.8] * 10))
     Y = [make_rosenthal(sp, [1, 2]).vector]
-    out = defect_experiment(Y, alpha=2.0, samples=10, seed=0, max_support=4)
+    out = defect_experiment(Y, alpha=2.0, samples=10, seed=0)
     assert out["samples"] == 10
     assert out["qualified"] + out["skipped"] == 10
     if out["qualified"]:

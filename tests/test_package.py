@@ -18,6 +18,16 @@ def test_exports_resolve_without_duplicates():
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
 
 
+def test_package_exports_each_module_name_once():
+    # every package export but __version__ comes from exactly one module's __all__
+    mods = [importlib.import_module(f"xplab.{m}") for m in MODULES]
+    for name in xplab.__all__:
+        if name == "__version__":
+            continue
+        homes = [m for m in mods if name in m.__all__]
+        assert len(homes) == 1, (name, [m.__name__ for m in homes])
+        assert getattr(xplab, name) is getattr(homes[0], name), name
+
 
 # operators re-binds norm_p only because the benchmark's tracing test asserts
 # that operators.norm_p exists

@@ -224,3 +224,17 @@ def test_identity_image_is_the_eye_matrix():
         score, [(np.eye(len(X0)), c), A], w, p, X0, h, stop, rounds, better
     )
     assert np.array_equal(X, Xe) and np.array_equal(f, fe)
+
+
+def test_sample_columns_match_one_stream_per_column():
+    # column k of _sample_columns(d, n, *branch) is the stream (*branch, k)
+    def reference(d, n, *branch):
+        cols = np.empty((d, n))
+        for k in range(n):
+            rng = np.random.default_rng(np.random.SeedSequence([*branch, k]))
+            cols[:, k] = rng.standard_normal(d)
+        return cols
+
+    for seed in (0, 5):
+        assert np.array_equal(_dense._sample_columns(6, 40, seed), reference(6, 40, seed))
+        assert np.array_equal(_dense._sample_columns(3, 3, seed, 7919), reference(3, 3, seed, 7919))

@@ -160,3 +160,17 @@ def test_malformed_entries_name_the_field(pair_space):
         doc_to_vector({"p": 4.0, "weights": [1.0, 0.5], "entries": [[1]]})
     with pytest.raises(SerializationError, match="entries"):
         doc_to_vector({"p": 4.0, "weights": [1.0, 0.5], "entries": "nope"})
+
+
+def test_make_block_derives_what_doc_to_block_derives():
+    sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7))
+    z = SpVector(sp, {1: 0.9, 2: -0.3, 3: 0.6})
+    doc = {"E": [1, 3], "entries": [[1, 0.9], [2, -0.3], [3, 0.6]]}
+    assert make_block(z, [1, 3]) == doc_to_block(doc, sp)
+    blk = make_block(z, [1, 3], c=2.0)
+    assert (blk.delta, blk.c) == (make_block(z, [1, 3]).delta, 2.0)
+    # the scale-safe norm of a nonzero vector is never 0, so only an empty E has zero mass
+    with pytest.raises(ValueError, match="zero mass on its E-set"):
+        make_block(z, [], 0.5)
+    with pytest.raises(SerializationError, match="zero mass on its E-set"):
+        doc_to_block(dict(doc, E=[]), sp)

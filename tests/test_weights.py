@@ -141,6 +141,17 @@ def test_non_scalar_param_names_the_field():
         WeightFamily("explicit", 2, {"values": [1.0, [2.0]]})
 
 
+def test_unknown_param_names_the_key_and_the_kind():
+    with pytest.raises(ValueError, match=r"power-law family has no parameter 'alpha'"):
+        WeightFamily("power-law", 4, {"alpha": 0.3})
+
+
+def test_defaults_are_filled_in_as_floats():
+    assert WeightFamily("geometric", 4, {"ratio": 1 / 4}).params == {"ratio": 0.25, "scale": 1.0}
+    assert WeightFamily("power-law", 4, {"a": 1}).params == {"a": 1.0}
+    assert generate(WeightFamily("doubly-indexed", 6)) == [1.0, 2.0 ** -0.25, 2.0 ** -0.25] + [3.0 ** -0.25] * 3
+
+
 def test_length_is_capped_at_max_dim():
     assert len(generate(power_law_family(0.1, MAX_DIM))) == MAX_DIM
     with pytest.raises(ValueError, match="D = 1000000000000"):
