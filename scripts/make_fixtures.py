@@ -117,6 +117,17 @@ def main() -> None:
             "matrix": [[1.0, 0.0], [0.0, 1.0]],
         },
     )
+    # entries whose p-th powers overflow: the xp search must run on a rescaled copy
+    put(
+        "matrix_huge.json",
+        {
+            "kind": "matrix",
+            "p": 4.0,
+            "weights": wts,
+            "window": [1, 2],
+            "matrix": [[1e100, -3e100], [2e100, 5e99]],
+        },
+    )
 
     # generator target: flat tiny weights make single-index tail sets feasible
     tail = WeightedSpace(4.0, tuple([0.1] * 64))
@@ -132,6 +143,15 @@ def main() -> None:
             "p": 4.0,
             "weights": wts,
             "vectors": [[[1, 1.0]], [[2, 1.0], [3, -0.5]]],
+        },
+    )
+    # the same span at 1e200, where every power sum at p = 4 overflows
+    put(
+        "vlist_span_huge.json",
+        {
+            "p": 4.0,
+            "weights": wts,
+            "vectors": [[[1, 1e200]], [[2, 1e200], [3, -0.5e200]]],
         },
     )
     put(

@@ -5,7 +5,9 @@ Run from anywhere:  python3 scripts/report_digest.py OUTDIR
 Every CLI subcommand runs once over the documents in tests/fixtures (opnorm
 on a block, a matrix and a Gram operator in both modes; split with full and
 with {delta, c, eps} constants; blocks check with given and with derived
-constants; weights gen with a D that cuts through a level), then ``batch`` on batch_small.json and the
+constants; weights gen with a D that cuts through a level), plus an xp
+opnorm on a matrix at 1e100 and classify kp on a span at 1e200, whose
+searches run on rescaled data, then ``batch`` on batch_small.json and the
 eight experiments at seed 0 and scale 0.05. Each report goes to
 OUTDIR/<name>.json and the exit codes to OUTDIR/exit_codes.json. Commands
 run in-process from the repository root with XPLAB_SEED unset, so two trees
@@ -63,6 +65,7 @@ def commands() -> dict[str, list[str]]:
     for kind, doc in ops.items():
         for mode in ("xp", "2w"):
             cmds[f"opnorm-{kind}-{mode}"] = ["opnorm", "--op", _fix(doc), "--mode", mode]
+    cmds["opnorm-huge-matrix-xp"] = ["opnorm", "--op", _fix("matrix_huge.json"), "--mode", "xp"]
     cmds["split-full"] = ["split", "--constants", _fix("split_constants.json"), *split]
     partial = json.dumps({k: sc[k] for k in ("delta", "c", "eps")}, sort_keys=True)
     cmds["split-partial"] = ["split", "--constants", partial, *split]
@@ -77,6 +80,7 @@ def commands() -> dict[str, list[str]]:
                       "--delta", str(ga["delta"]), "--c", str(ga["c"]),
                       "--count", str(ga["count"])],
         "classify-kp": ["classify", "kp", "--v", _fix("vlist_span.json"), "--C", "2.0"],
+        "classify-kp-huge": ["classify", "kp", "--v", _fix("vlist_span_huge.json"), "--C", "2.0"],
         "diag-prop21": ["diag", "prop21", "--u", _fix("ulist.json"), "--w", _fix("wlist.json"),
                         "--projection", _fix("projection_small.json"), "--K", "1.2",
                         "--window", "2"],

@@ -6,10 +6,13 @@ thousands of vectors without per-vector Python overhead. Tests cross-check
 them against the sparse reference. A window is a sorted array of 1-based
 indices; the operators of :mod:`xplab.operators` carry one as ``window``
 next to their ``matrix``, and the weights and columns here are laid out
-over it. Every seeded stream of the package is built here, by ``_child``,
-and the seeded start columns of the estimators by ``_sample_columns``. The
-coordinate search every estimator polishes its columns with lives here too.
-It searches over affine images c + M X of the columns and carries them with
+over it. ``dense_window`` lays a family of sparse vectors out as columns over
+the union of their supports, ``col_to_vector`` gathers a column back into a
+sparse vector, and ``into_range`` is the range rule that scales a search's
+data so that its power sums stay finite. Every seeded stream of the package
+is built here, by ``_child``, and the seeded start columns of the estimators
+by ``_sample_columns``. So is the coordinate search that polishes them: it
+searches over affine images c + M X of the columns and carries them with
 their power sums, so a step on one coordinate recomputes only the image rows
 that the step touches.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import WeightedSpace
+from .space import SpVector, WeightedSpace
 
 
 def _child(seed: int, *branch: int) -> np.random.Generator:
@@ -39,27 +42,36 @@ def window_weights(space: WeightedSpace, idx: np.ndarray) -> np.ndarray:
     return space.warray[np.asarray(idx, dtype=int) - 1]
 
 
-def range_exponent(top, growth: float, p: float, rows: int) -> int:
-    """The k for which a search on data times 2^-k keeps its power sums in range.
+def into_range(data, X: np.ndarray, h, rounds: int, p: float) -> list:
+    """A search's data (its c and M) times 2^-k, so that its power sums stay in range.
 
-    top is the largest |entry| of the data, and every entry the search forms
-    is at most top * growth. Sums of |entry|^p over ``rows`` rows then stay in
-    the normal double range when tiny < top^p and rows (top growth)^p < inf.
-    k is 0 when they do, so ordinary data are searched as they are; otherwise
-    it is the binary exponent of top, which brings the data's peak to [1/2, 1).
+    From start columns X of d rows, in ``rounds`` rounds of steps at most h,
+    the search forms images c + M x whose entries are at most top growth,
+    with top the data's largest |entry| and growth = 1 + d (max|X| + rounds
+    max h). Sums over the data's rows stay normal when tiny < top^p and rows
+    (top growth)^p < inf. k is 0 when they do, so ordinary data come back as
+    they are; otherwise it is the binary exponent of top, which brings the
+    data's peak to [1/2, 1). The caller's value must be homogeneous in the data.
     """
-    top = np.float64(top)
+    top = max(np.max(np.abs(D)) for D in data)
+    growth = 1 + len(X) * (np.max(np.abs(X)) + rounds * np.max(h))
     with np.errstate(over="ignore", under="ignore"):
-        if top > 0 and not (np.finfo(float).tiny < top**p and (top * growth) ** p * rows < np.inf):
-            return int(np.frexp(top)[1])
-    return 0
+        if top > 0 and not (np.finfo(float).tiny < top**p
+                            and (top * growth) ** p * len(data[0]) < np.inf):
+            k = int(np.frexp(top)[1])
+            return [np.ldexp(D, -k) for D in data]
+    return list(data)
 
 
 def col_norm_p(X: np.ndarray, p: float) -> np.ndarray:
+    """Column p-norms, unscaled: they overflow or underflow on their own once
+    |x|^p leaves the double range (|x| beyond about 1e77 or 1e-77 at p = 4), so
+    every search brings its data into range through :func:`into_range` first."""
     return np.sum(np.abs(X) ** p, axis=0) ** (1.0 / p)
 
 
 def col_norm_2w(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Column weighted 2-norms, with the same range precondition as :func:`col_norm_p`."""
     return np.sqrt(np.sum((X * w[:, None]) ** 2, axis=0))
 
 
@@ -93,10 +105,30 @@ def vectors_to_cols(vectors, idx: np.ndarray) -> np.ndarray:
 
 def union_window(vectors) -> np.ndarray:
     """Sorted union of the supports of the given sparse vectors."""
-    s: set[int] = set()
-    for v in vectors:
-        s.update(v.entries)
-    return np.array(sorted(s), dtype=int)
+    return np.array(sorted(set().union(*(v.entries for v in vectors))), dtype=int)
+
+
+def dense_window(vectors, empty: str = "a dense window needs at least one vector",
+                 mixed: str = "vectors live in different spaces"):
+    """(space, window, columns, weights) of a family of sparse vectors of one space.
+
+    The window is the union of the supports, the columns are the vectors laid
+    out over it, in order, and the weights are the space's over it. An empty
+    family raises ValueError(empty), one over several spaces ValueError(mixed).
+    """
+    vectors = tuple(vectors)
+    if not vectors:
+        raise ValueError(empty)
+    space = vectors[0].space
+    if any(v.space != space for v in vectors):
+        raise ValueError(mixed)
+    idx = union_window(vectors)
+    return space, idx, vectors_to_cols(vectors, idx), window_weights(space, idx)
+
+
+def col_to_vector(space: WeightedSpace, idx: np.ndarray, col: np.ndarray) -> SpVector:
+    """The sparse vector with entries col over the window idx; exact zeros drop out."""
+    return SpVector(space, dict(zip(idx.tolist(), col.tolist())))
 
 
 def _coordinate_search(

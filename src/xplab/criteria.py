@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _dense
-from ._dense import col_norm, union_window, vectors_to_cols, window_weights
+from ._dense import col_norm, dense_window
 from .blocks import Block, functional_apply, make_rosenthal
 from .operators import (
     BlockProjection,
@@ -610,14 +610,9 @@ def defect_of(
     Y = tuple(Y)
     if not Y:
         raise ValueError("defect needs a nonempty span")
-    space = x.space
-    if any(v.space != space for v in Y):
-        raise ValueError("span vectors live in a different space")
-    idx = union_window(list(Y) + [x])
-    B = vectors_to_cols(Y, idx)
-    w = window_weights(space, idx)
+    space, _, B, w = dense_window((*Y, x), mixed="span vectors live in a different space")
+    B, xcol = B[:, :-1], B[:, -1]
     p = space.p
-    xcol = vectors_to_cols([x], idx)[:, 0]
     k = B.shape[1]
 
     starts = [np.zeros((k, 1))]
@@ -632,15 +627,10 @@ def defect_of(
     scale = max(float(np.max(np.abs(lsq))), 1.0)
     h0 = 0.25 * scale
     rounds = 40
-    # |x - B a| <= max(|x|, |B|) (1 + ||a||_1), and each round moves an entry
-    # of a by at most h0
-    top = max(np.max(np.abs(xcol)), np.max(np.abs(B)))
-    e = _dense.range_exponent(top, 1 + k * (float(np.max(np.abs(A0))) + rounds * h0), p, len(B))
-    if e:
-        # the relative distance is homogeneous in (x, B): search on both times 2^-e
-        xcol, B = np.ldexp(xcol, -e), np.ldexp(B, -e)
-    denom = float(col_norm(xcol[:, None], w, p, "xp")[0])
     step = np.full(A0.shape[1], h0)
+    # the relative distance is homogeneous in (x, B), and its denominator is the x searched
+    xcol, B = _dense.into_range([xcol, B], A0, step, rounds, p)
+    denom = float(col_norm(xcol[:, None], w, p, "xp")[0])
     _, f = _dense._coordinate_search(
         cost, [(-B, xcol)], w, p, A0, step, 1e-12 * max(h0, 1.0), rounds, np.less
     )

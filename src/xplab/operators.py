@@ -223,18 +223,12 @@ class GramProjector:
     """
 
     def __init__(self, basis: Sequence[SpVector]):
-        basis = tuple(basis)
-        if not basis:
-            raise ValueError("gram projector needs a nonempty basis")
-        space = basis[0].space
-        if any(v.space != space for v in basis):
-            raise ValueError("basis vectors live in different spaces")
-        if any(v.is_zero() for v in basis):
+        self.basis = tuple(basis)
+        self.space, self.window, self._B, self._w = _dense.dense_window(
+            self.basis, "gram projector needs a nonempty basis",
+            "basis vectors live in different spaces")
+        if not self._B.any(axis=0).all():
             raise ValueError("basis vectors must be nonzero")
-        self.basis = basis
-        self.space = space
-        self._B = vectors_to_cols(basis, self.window)
-        self._w = window_weights(space, self.window)
         G = (self._B * (self._w**2)[:, None]).T @ self._B
         cond = float(np.linalg.cond(G))
         if not math.isfinite(cond) or cond > GRAM_COND_GUARD:
@@ -246,10 +240,6 @@ class GramProjector:
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"gram matrix is not positive definite: {exc}") from exc
         self._opnorm_memo: dict = {}
-
-    @cached_property
-    def window(self) -> np.ndarray:
-        return union_window(self.basis)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -267,12 +257,7 @@ class GramProjector:
         """Project x onto the span in the weighted inner product."""
         if x.space != self.space:
             raise ValueError("x lives in a different space than the projector")
-        a = self.coefficients(x)
-        col = self._B @ a
-        return SpVector(
-            self.space,
-            {int(i): float(v) for i, v in zip(self.window, col) if v != 0.0},
-        )
+        return _dense.col_to_vector(self.space, self.window, self._B @ self.coefficients(x))
 
     def opnorm(self, mode: str = "xp", budget: int = 256, seed: int = 0) -> "OpNormEstimate":
         key = (mode, int(budget), int(seed))
@@ -307,17 +292,8 @@ class DenseOperator:
         self.window = window
 
     def apply(self, x: SpVector) -> SpVector:
-        pos = {int(i): k for k, i in enumerate(self.window)}
-        col = np.zeros(len(self.window))
-        for i, v in x.entries.items():
-            k = pos.get(i)
-            if k is not None:
-                col[k] = v
-        out = self.matrix @ col
-        return SpVector(
-            self.space,
-            {int(i): float(v) for i, v in zip(self.window, out) if v != 0.0},
-        )
+        col = np.array([x.entries.get(i, 0.0) for i in self.window.tolist()])
+        return _dense.col_to_vector(self.space, self.window, self.matrix @ col)
 
 
 @dataclass(frozen=True)
@@ -334,10 +310,10 @@ class OpNormEstimate:
     witness: SpVector
 
 
-def _ascend(score, images, w, p, X: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate ascent of a scale-invariant score, steps relative to each column."""
+def _steps(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First steps and stop of an ascent of a scale-invariant score, relative to each column."""
     scale = np.maximum(np.max(np.abs(X), axis=0), 1e-12)
-    return _dense._coordinate_search(score, images, w, p, X, 0.5 * scale, 1e-9 * scale, rounds)
+    return 0.5 * scale, 1e-9 * scale
 
 
 def _weighted(op, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -405,25 +381,20 @@ def estimate_opnorm(
     else:
         d = len(op.window)
         X = _dense._sample_columns(d, int(budget), seed)
-        A = op.matrix
-        # |A x| <= max|A| ||x||_1, and the ascent moves an entry of x by at
-        # most half the column's starting scale per round
-        k = _dense.range_exponent(np.max(np.abs(A)), d * np.max(np.abs(X)) * (1 + rounds / 2), p, d)
-        if k:
-            # the ratio is homogeneous in A: search on A 2^-k, whose power sums stay finite
-            A = np.ldexp(A, -k)
+        h, stop = _steps(X)
+        (A,) = _dense.into_range([op.matrix], X, h, rounds, p)  # the ratio is homogeneous in A
 
         def score(Sp, S2):
             norms = np.maximum(Sp ** (1 / p), np.sqrt(S2))  # of X, then of A X
             return np.where(norms[0] > 0, norms[1] / np.maximum(norms[0], 1e-300), -np.inf)
 
-        X, f = _ascend(score, [(None, 0), (A, 0)], w, p, X, rounds)
+        X, f = _dense._coordinate_search(score, [(None, 0), (A, 0)], w, p, X, h, stop, rounds)
         col = X[:, int(np.argmax(f))]
         col = col / col_norm(col[:, None], w, p, mode)[0]
     if not np.all(np.isfinite(col)):
         raise _out_of_range(mode)
     norm = xp_norm if mode == "xp" else norm_2w
-    witness = SpVector(op.space, dict(zip(op.window.tolist(), col.tolist())))
+    witness = _dense.col_to_vector(op.space, op.window, col)
     try:
         num, den = norm(op.apply(witness)), norm(witness)
     except OverflowError:
@@ -433,29 +404,17 @@ def estimate_opnorm(
     return OpNormEstimate(num / den, upper, witness)
 
 
-def _span_matrix(V: Sequence[SpVector]):
-    V = tuple(V)
-    if not V:
-        raise ValueError("span estimate needs at least one vector")
-    space = V[0].space
-    if any(v.space != space for v in V):
-        raise ValueError("span vectors live in different spaces")
-    if any(v.is_zero() for v in V):
+def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
+    space, _, B, w = _dense.dense_window(V, "span estimate needs at least one vector",
+                                         "span vectors live in different spaces")
+    if not B.any(axis=0).all():
         raise ValueError("span vectors must be nonzero")
-    idx = union_window(V)
-    B = vectors_to_cols(V, idx)
     # each column is first scaled by a power of two, so that its norm stays in range
     Bn = np.ldexp(B, -np.frexp(np.max(np.abs(B), axis=0))[1])
     Bn /= np.linalg.norm(Bn, axis=0)
     s = np.linalg.svd(Bn, compute_uv=False)
     if s[-1] < 1e-10 * s[0]:
         raise ValueError("span vectors are linearly dependent")
-    w = window_weights(space, idx)
-    return space, idx, B, w
-
-
-def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
-    space, idx, B, w = _span_matrix(V)
     p = space.p
     k = B.shape[1]
     starts = [np.eye(k)]
@@ -463,12 +422,8 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
         starts.append(_dense._sample_columns(k, int(budget), seed))
     A0 = np.concatenate(starts, axis=1)
     rounds = 20
-    # |B a| <= max|B| ||a||_1, and the ascent moves an entry of a by at most
-    # half the column's starting scale per round
-    e = _dense.range_exponent(np.max(np.abs(B)), k * np.max(np.abs(A0)) * (1 + rounds / 2), p, len(B))
-    if e:
-        # the ratio is homogeneous in B: search on B 2^-e, whose power sums stay finite
-        B = np.ldexp(B, -e)
+    h, stop = _steps(A0)
+    (B,) = _dense.into_range([B], A0, h, rounds, p)  # the ratio is homogeneous in B
 
     def score(Sp, S2):
         den = Sp[0] ** (1 / p)
@@ -476,7 +431,7 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
         # dead columns must lose regardless of search direction
         return np.where(den > 0, vals, -np.inf)
 
-    _, fvals = _ascend(score, [(B, 0)], w, p, A0, rounds)
+    _, fvals = _dense._coordinate_search(score, [(B, 0)], w, p, A0, h, stop, rounds)
     best = float(np.max(fvals))
     if not np.isfinite(best):
         raise ValueError("ratio extremum search degenerated")

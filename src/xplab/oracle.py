@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dense import col_norm, union_window, vectors_to_cols, window_weights
+from ._dense import col_norm, dense_window
 
 __all__ = ["brute_opnorm", "brute_ratio_extremum", "brute_min_distance"]
 
@@ -44,24 +44,28 @@ def _cube_grid(d: int, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=0)
 
 
-def _extremize(objective, d: int, m: int, refine_rounds: int, refine_m: int = 5):
-    X = _face_grid(d, m)
+def _extremize(objective, X: np.ndarray, r: float, refine_rounds: int, keep_zero=False) -> float:
+    """Largest objective value found on the grid X, then around its best point.
+
+    Each refinement round scores a 5-per-axis cube of half-width r around the
+    best point so far, and r shrinks by 0.35 a round. The cube loses its zero
+    vector, where a ratio has no value, unless keep_zero is set.
+    """
     vals = objective(X)
-    best = int(np.argmax(vals))
-    x, fbest = X[:, best].copy(), float(vals[best])
-    r = 2.0 / max(m - 1, 1)
-    local = _cube_grid(d, refine_m)
+    b = int(np.argmax(vals))
+    x, fbest = X[:, b].copy(), float(vals[b])
+    local = _cube_grid(len(X), 5)
     for _ in range(refine_rounds):
         C = x[:, None] + r * local
-        keep = np.any(C != 0.0, axis=0)
-        C = C[:, keep]
+        if not keep_zero:
+            C = C[:, np.any(C != 0.0, axis=0)]
         vals = objective(C)
         b = int(np.argmax(vals))
         if vals[b] > fbest:
             fbest = float(vals[b])
             x = C[:, b].copy()
         r *= 0.35
-    return x, fbest
+    return fbest
 
 
 def brute_opnorm(A: np.ndarray, w: np.ndarray, p: float, mode: str = "xp",
@@ -78,17 +82,12 @@ def brute_opnorm(A: np.ndarray, w: np.ndarray, p: float, mode: str = "xp",
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
 
-    _, val = _extremize(objective, d, m, refine_rounds)
-    return val
+    return _extremize(objective, _face_grid(d, m), 2.0 / max(m - 1, 1), refine_rounds)
 
 
 def brute_ratio_extremum(V, sense: int, m: int = 13, refine_rounds: int = 4) -> float:
     """Grid-search the 2-vs-p ratio extremum over span(V); sense +1 sup, -1 inf."""
-    V = tuple(V)
-    space = V[0].space
-    idx = union_window(V)
-    B = vectors_to_cols(V, idx)
-    w = window_weights(space, idx)
+    space, _, B, w = dense_window(V)
     p = space.p
     k = B.shape[1]
     if k > MAX_ORACLE_DIM:
@@ -99,11 +98,9 @@ def brute_ratio_extremum(V, sense: int, m: int = 13, refine_rounds: int = 4) -> 
         num = col_norm(Y, w, p, "2w")
         den = col_norm(Y, w, p, "p")
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
-        return sense * vals
+            return sense * np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
 
-    _, val = _extremize(objective, k, m, refine_rounds)
-    return sense * val
+    return sense * _extremize(objective, _face_grid(k, m), 2.0 / max(m - 1, 1), refine_rounds)
 
 
 def brute_min_distance(x, Y, m: int = 9, refine_rounds: int = 5) -> float:
@@ -112,13 +109,9 @@ def brute_min_distance(x, Y, m: int = 9, refine_rounds: int = 5) -> float:
     The search box comes from a data-independent bound: any minimizer
     satisfies |a|_2 <= 2 xp_norm(x) / sigma_min(W B).
     """
-    Y = tuple(Y)
-    space = x.space
-    idx = union_window(list(Y) + [x])
-    B = vectors_to_cols(Y, idx)
-    w = window_weights(space, idx)
+    space, _, B, w = dense_window((*Y, x))
+    B, xcol = B[:, :-1], B[:, -1]
     p = space.p
-    xcol = vectors_to_cols([x], idx)[:, 0]
     k = B.shape[1]
     if k > MAX_ORACLE_DIM:
         raise ValueError(f"oracle limited to span dimension {MAX_ORACLE_DIM}")
@@ -128,22 +121,8 @@ def brute_min_distance(x, Y, m: int = 9, refine_rounds: int = 5) -> float:
         raise ValueError("distance oracle needs independent span vectors")
     R = 2.0 * xnorm / smin
 
-    def cost(Ac):
-        D = xcol[:, None] - B @ Ac
-        return col_norm(D, w, p, "xp")
+    def negated_cost(Ac):
+        return -col_norm(xcol[:, None] - B @ Ac, w, p, "xp")
 
-    grid = _cube_grid(k, m) * R
-    vals = cost(grid)
-    b = int(np.argmin(vals))
-    a, fbest = grid[:, b].copy(), float(vals[b])
-    r = 2.0 * R / max(m - 1, 1)
-    local = _cube_grid(k, 5)
-    for _ in range(refine_rounds):
-        C = a[:, None] + r * local
-        vals = cost(C)
-        b = int(np.argmin(vals))
-        if vals[b] < fbest:
-            fbest = float(vals[b])
-            a = C[:, b].copy()
-        r *= 0.35
-    return fbest
+    return -_extremize(negated_cost, _cube_grid(k, m) * R, 2.0 * R / max(m - 1, 1), refine_rounds,
+                       keep_zero=True)

@@ -151,8 +151,20 @@ def equal_mass_family(p: float, D: int, level_exp: float = 0.25) -> WeightFamily
 
 
 def generate(f: WeightFamily, D: int | None = None) -> list[float]:
-    """Materialize the first D weights of the family (default: f.D)."""
+    """Materialize the first D weights of the family (default: f.D).
+
+    A weight that is not positive and finite, as when a family underflows,
+    raises ValueError naming the kind and the first such index.
+    """
     D = f.D if D is None else _length(D)
+    w = _formula(f, D)
+    if not 0 < min(w) <= max(w) < math.inf:
+        n = next(n for n, v in enumerate(w, 1) if not 0 < v < math.inf)
+        raise ValueError(f"{f.kind} family weight w_{n} = {w[n - 1]!r} is not positive and finite")
+    return w
+
+
+def _formula(f: WeightFamily, D: int) -> list[float]:
     P = f.params
     if f.kind == "constant":
         return [P["value"]] * D

@@ -422,6 +422,22 @@ def test_weights_length_beyond_cap_is_usage_error(fix, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fam, first_bad", [
+    ({"kind": "power-law", "a": 1e300, "D": 3}, "w_2"),
+    # 0.5^n is subnormal up to n = 1074 and 0 from n = 1075 on
+    ({"kind": "geometric", "ratio": 0.5, "D": 1100}, "w_1075"),
+])
+def test_underflowing_family_is_usage_error(fam, first_bad, tmp_path, capsys):
+    want = f"{fam['kind']} family weight {first_bad} = 0.0 is not positive and finite"
+    assert run(["weights", "gen", "--family", json.dumps(fam)]) == 1
+    assert want in _single_error(capsys)
+    path = str(tmp_path / "x.json")
+    with open(path, "w") as fh:
+        json.dump({"p": 4.0, "weights": fam, "entries": [[1, 1.0]]}, fh)
+    assert run(["norm", "--x", path]) == 1
+    assert want in _single_error(capsys)
+
+
 def _single_error(capsys) -> str:
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err

@@ -177,3 +177,66 @@ def test_generated_argv_keeps_the_exit_contract(argv):
 )
 def test_experiment_keeps_the_exit_contract(name, scale, seed):
     _run(["experiment", name, "--scale", scale, "--seed", seed])
+
+
+# Closure: a document a command writes is one its reader accepts. Each test
+# runs a writer on generated input and, when the writer exits 0, feeds what it
+# wrote to the reader, which must exit 0 too.
+_magnitudes = st.sampled_from([0.0, 1e-300, 1e-3, 0.1, 0.5, 0.999, 1.0, 2.0, 1e6, 1e300])
+
+
+def _report_data(scratch, argv):
+    """The data of argv's report, or None when argv does not exit 0."""
+    report = os.path.join(scratch, "written.json")
+    if _run(argv + ["--out", report]) != 0:
+        return None
+    with open(report, encoding="utf-8") as fh:
+        return json.load(fh)["data"]
+
+
+def _dump(scratch, name, doc) -> str:
+    path = os.path.join(scratch, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(kind=st.sampled_from(["constant", "power-law", "geometric", "doubly-indexed"]),
+       values=st.lists(_magnitudes, min_size=2, max_size=2),
+       D=st.sampled_from([1, 2, 3, 64, 1100]))
+def test_generated_weights_make_a_space(scratch, kind, values, D):
+    fam = {"kind": kind, "D": D}
+    fam.update(zip({"constant": ["value"], "power-law": ["a"], "geometric": ["ratio", "scale"],
+                    "doubly-indexed": ["level_exp", "mult_exp"]}[kind], values))
+    data = _report_data(scratch, ["weights", "gen", "--family", json.dumps(fam)])
+    if data is not None:
+        doc = {"p": 4.0, "weights": data["weights"], "entries": [[1, 1.0]]}
+        assert _run(["norm", "--x", _dump(scratch, "x.json", doc)]) == 0, fam
+
+
+@settings(max_examples=25, **SETTINGS)
+@given(p=st.sampled_from([2.5, 3.0, 4.0, 7.5]),
+       weights=st.lists(st.sampled_from([1e-3, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 1e3]),
+                        min_size=2, max_size=6),
+       picks=st.sets(st.integers(1, 6), min_size=1))
+def test_rosenthal_blocks_pass_blocks_check(scratch, p, weights, picks):
+    space = _dump(scratch, "space.json", {"p": p, "weights": weights})
+    I = ",".join(map(str, sorted(i for i in picks if i <= len(weights)) or [1]))
+    data = _report_data(scratch, ["blocks", "rosenthal", "--space", space, "--I", I])
+    if data is not None:
+        block = _dump(scratch, "block.json", data["block"])
+        assert _run(["blocks", "check", "--block", block, "--space", space]) == 0, (weights, I)
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(p=st.sampled_from([3.0, 4.0, 6.0]), w=st.sampled_from([0.05, 0.1]),
+       D=st.sampled_from([16, 64]), eps=st.sampled_from([0.2, 0.3, 0.4]),
+       delta=st.sampled_from([0.5, 0.9]), c=st.sampled_from([1.2, 2.0]),
+       count=st.sampled_from(["1", "2"]))
+def test_generated_witnesses_pass_check_thm13(scratch, p, w, D, eps, delta, c, count):
+    space = _dump(scratch, "space.json", {"p": p, "weights": [w] * D})
+    data = _report_data(scratch, ["gen", "thm13", "--space", space, "--eps", str(eps),
+                                  "--delta", str(delta), "--c", str(c), "--count", count])
+    for k, wit in enumerate([] if data is None else data["witnesses"]):
+        assert _run(["check", "thm13", "--witness", _dump(scratch, f"w{k}.json", wit)]) == 0, k

@@ -5,6 +5,8 @@ objective from X, and the two signs are tried in sequence. Each case below
 poses one problem of a kind the estimators search (an operator-norm ratio, a
 span ratio in both senses, a defect distance) both ways: as an objective of X
 for the reference, and as images and a score for ``_dense._coordinate_search``.
+The helpers that lay out a search's window and bring its data into range
+are checked at the end.
 """
 
 import numpy as np
@@ -238,3 +240,36 @@ def test_sample_columns_match_one_stream_per_column():
     for seed in (0, 5):
         assert np.array_equal(_dense._sample_columns(6, 40, seed), reference(6, 40, seed))
         assert np.array_equal(_dense._sample_columns(3, 3, seed, 7919), reference(3, 3, seed, 7919))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-90])
+def test_into_range_scales_only_data_out_of_range(scale):
+    # a search from X in steps h over the data (x, B) at p = 4
+    g = np.random.default_rng(3)
+    x, B = g.standard_normal(5) * scale, g.standard_normal((5, 2)) * scale
+    X, h = g.standard_normal((2, 8)), np.full(8, 0.25)
+    xs, Bs = _dense.into_range([x, B], X, h, 40, 4.0)
+    if scale == 1.0:
+        assert xs is x and Bs is B
+    else:
+        peak = max(np.max(np.abs(xs)), np.max(np.abs(Bs)))
+        assert 0.5 <= peak < 1.0
+        # one power of two for all the data
+        assert len(set((xs / x).tolist() + (Bs / B).ravel().tolist())) == 1
+
+
+def test_dense_window_refuses_empty_and_mixed_families_in_the_callers_words():
+    a, b = WeightedSpace(4.0, (1.0, 0.5)), WeightedSpace(3.0, (1.0, 0.5))
+    with pytest.raises(ValueError, match="^no span$"):
+        _dense.dense_window([], "no span", "two spaces")
+    with pytest.raises(ValueError, match="^two spaces$"):
+        _dense.dense_window([SpVector(a, {1: 1.0}), SpVector(b, {2: 1.0})], "no span", "two spaces")
+    space, idx, cols, w = _dense.dense_window([SpVector(a, {2: 3.0}), SpVector(a, {1: 1.0})])
+    assert space is a and idx.tolist() == [1, 2] and cols.tolist() == [[0.0, 1.0], [3.0, 0.0]]
+    assert w.tolist() == [1.0, 0.5]
+
+
+def test_col_to_vector_drops_exact_zeros():
+    sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7))
+    v = _dense.col_to_vector(sp, np.array([1, 3, 4]), np.array([0.0, -2.5, -0.0]))
+    assert v.entries == {3: -2.5}
