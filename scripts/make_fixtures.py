@@ -13,7 +13,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from xplab import (  # noqa: E402
     SpVector,
     WeightedSpace,
+    block_to_doc,
     dump_json,
+    make_block,
     make_rosenthal,
     norm_2w,
     vector_to_doc,
@@ -107,6 +109,16 @@ def main() -> None:
             "vectors": [[[1, 1.0]], [[2, 1.0], [3, 0.5]]],
         },
     )
+    # the same span times 2^660, where B^T W^2 B overflows unless it is formed from a scaled copy
+    put(
+        "gram_op_huge.json",
+        {
+            "kind": "gram",
+            "p": 4.0,
+            "weights": wts,
+            "vectors": [[[1, 2.0**660]], [[2, 2.0**660], [3, 0.5 * 2.0**660]]],
+        },
+    )
     put(
         "matrix_identity.json",
         {
@@ -134,6 +146,12 @@ def main() -> None:
     put("space_tail.json", {"p": 4.0, "weights": [0.1] * 64})
     wits = gen_thm13_witnesses(tail, c=1.2, delta=0.5, eps=0.2, count=2)
     put("witness_good.json", witness_to_doc(wits[0]))
+    # a Rosenthal block whose condition b holds with equality only up to roundoff
+    tie_weights = [1.533, 1.538, 2.262, 0.452, 2.461]
+    tie = WeightedSpace(7.12, tuple(tie_weights))
+    put("space_tie.json", {"p": 7.12, "weights": tie_weights})
+    put("block_tie.json", block_to_doc(make_block(make_rosenthal(tie, [1, 2, 3, 4, 5]).vector,
+                                                  [1, 2, 3, 4, 5])))
     put("gen_args.json", {"eps": 0.2, "delta": 0.5, "c": 1.2, "count": 2})
 
     # span documents for classify / prop24 / prop21

@@ -7,7 +7,10 @@ on a block, a matrix and a Gram operator in both modes; split with full and
 with {delta, c, eps} constants; blocks check with given and with derived
 constants; weights gen with a D that cuts through a level), plus an xp
 opnorm on a matrix at 1e100 and classify kp on a span at 1e200, whose
-searches run on rescaled data, then ``batch`` on batch_small.json and the
+searches run on rescaled data, an xp opnorm on a Gram operator at 2^660,
+whose Gram matrix is formed from a rescaled basis, and blocks check and
+gen thm13 at c = 1 on inputs whose checks hold with equality up to
+roundoff, then ``batch`` on batch_small.json and the
 eight experiments at seed 0 and scale 0.05. Each report goes to
 OUTDIR/<name>.json and the exit codes to OUTDIR/exit_codes.json. Commands
 run in-process from the repository root with XPLAB_SEED unset, so two trees
@@ -58,6 +61,8 @@ def commands() -> dict[str, list[str]]:
                          "--space", _fix("space_small.json")],
         "blocks-check-tight": ["blocks", "check", "--block", _fix("block_tight.json"),
                                "--space", _fix("space_small.json")],
+        "blocks-check-tie": ["blocks", "check", "--block", _fix("block_tie.json"),
+                             "--space", _fix("space_tie.json")],
         "project": ["project", "--x", _fix("x_pair.json"),
                     "--projection", _fix("projection_pair.json")],
     }
@@ -66,6 +71,7 @@ def commands() -> dict[str, list[str]]:
         for mode in ("xp", "2w"):
             cmds[f"opnorm-{kind}-{mode}"] = ["opnorm", "--op", _fix(doc), "--mode", mode]
     cmds["opnorm-huge-matrix-xp"] = ["opnorm", "--op", _fix("matrix_huge.json"), "--mode", "xp"]
+    cmds["opnorm-huge-gram-xp"] = ["opnorm", "--op", _fix("gram_op_huge.json"), "--mode", "xp"]
     cmds["split-full"] = ["split", "--constants", _fix("split_constants.json"), *split]
     partial = json.dumps({k: sc[k] for k in ("delta", "c", "eps")}, sort_keys=True)
     cmds["split-partial"] = ["split", "--constants", partial, *split]
@@ -79,6 +85,9 @@ def commands() -> dict[str, list[str]]:
         "gen-thm13": ["gen", "thm13", "--space", _fix("space_tail.json"), "--eps", str(ga["eps"]),
                       "--delta", str(ga["delta"]), "--c", str(ga["c"]),
                       "--count", str(ga["count"])],
+        # at c = 1 the middle window inequality of every witness is an equality
+        "gen-thm13-c1": ["gen", "thm13", "--space", _fix("space_tail.json"), "--eps", "0.3",
+                         "--delta", "0.5", "--c", "1", "--count", "2"],
         "classify-kp": ["classify", "kp", "--v", _fix("vlist_span.json"), "--C", "2.0"],
         "classify-kp-huge": ["classify", "kp", "--v", _fix("vlist_span_huge.json"), "--C", "2.0"],
         "diag-prop21": ["diag", "prop21", "--u", _fix("ulist.json"), "--w", _fix("wlist.json"),

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .space import (
-    SLACK,
+    Check,
     SpVector,
     SupportSet,
     WeightedSpace,
+    check,
+    holds,
     inner,
     max_ratio,
     norm_2w,
@@ -31,6 +33,7 @@ __all__ = [
     "Block",
     "make_rosenthal",
     "make_block",
+    "block_conditions",
     "functional_apply",
     "HolderBounds",
     "holder_bounds",
@@ -57,7 +60,7 @@ class Block:
     Condition a: norm_2w(z restricted to E) >= delta * norm_2w(z).
     Condition b: c * norm_2w(z restricted to E) >= omega(E) ** ((p-2)/2p).
 
-    ``cond_a_ok``/``cond_b_ok`` record the verdicts at construction time.
+    ``conditions`` records the Checks of a and b made at construction time.
     Use make_block(..., require=False) to build failing blocks on purpose.
     """
 
@@ -66,8 +69,7 @@ class Block:
     vector: SpVector
     delta: float
     c: float
-    cond_a_ok: bool
-    cond_b_ok: bool
+    conditions: tuple[Check, Check]
 
     @property
     def space(self) -> WeightedSpace:
@@ -96,11 +98,34 @@ def make_rosenthal(space: WeightedSpace, I) -> RosenthalBlock:
         (ratio(vec), mass**space.ratio_exp),
     )
     for got, want in checks:
-        if abs(got - want) > 1e-10 * max(abs(want), 1e-300):
+        if not holds(abs(got - want), "<=", 1e-10 * abs(want)):
             raise ValueError(
                 f"extremal block identities broke down numerically: {got} vs {want}"
             )
     return RosenthalBlock(sup, vec)
+
+
+def block_conditions(parts, delta=None, c=None) -> tuple[float, float, list]:
+    """Conditions a and b of blocks (z, E) under shared constants (delta, c).
+
+    Each block's masses norm_2w(z_E), norm_2w(z) and omega(E) ** ((p-2)/2p)
+    are computed once. An omitted constant is the tightest one valid for every
+    block: delta = min norm_2w(z_E) / norm_2w(z), c = max omega(E) **
+    ((p-2)/2p) / norm_2w(z_E); deriving one needs mass on every E-set.
+    Returns delta, c and each block's (condition_a, condition_b) Checks.
+    """
+    masses = [(norm_2w(restrict(z, E)), norm_2w(z), max_ratio(z.space, E)) for z, E in parts]
+    if (delta is None or c is None) and any(core2 == 0.0 for core2, _, _ in masses):
+        raise ValueError("block has zero mass on its E-set")
+    delta = min(core2 / full2 for core2, full2, _ in masses) if delta is None else float(delta)
+    c = max(cap / core2 for core2, _, cap in masses) if c is None else float(c)
+    if delta <= 0 or c <= 0:
+        raise ValueError("delta and c must be positive")
+    return delta, c, [
+        (check("condition_a", core2, ">=", delta * full2),
+         check("condition_b", c * core2, ">=", cap))
+        for core2, full2, cap in masses
+    ]
 
 
 def make_block(
@@ -113,12 +138,11 @@ def make_block(
 ) -> Block:
     """Build a block from a vector, a subset of its support and (delta, c).
 
-    An omitted constant is the tightest valid one, which turns its condition
-    into an equality: delta = norm_2w(z_E) / norm_2w(z) and
-    c = omega(E) ** ((p-2)/2p) / norm_2w(z_E). Deriving one needs mass on E.
+    An omitted constant is the tightest valid one (see :func:`block_conditions`),
+    which turns its condition into an equality; deriving one needs mass on E.
     With require=True (default) a violated condition raises, naming it.
-    With require=False the block is built anyway and the condition verdicts
-    are recorded; this is how counterexample inputs are constructed.
+    With require=False the block is built anyway and records both Checks;
+    this is how counterexample inputs are constructed.
     """
     if vector.is_zero():
         raise ValueError("block vector must be nonzero")
@@ -126,27 +150,14 @@ def make_block(
     Eset = E if isinstance(E, SupportSet) else SupportSet.of(E)
     if not Eset.issubset(sup):
         raise ValueError("E must be a subset of the block support")
-    core2 = norm_2w(restrict(vector, Eset))
-    full2 = norm_2w(vector)
-    cap = max_ratio(vector.space, Eset)
-    if (delta is None or c is None) and core2 == 0.0:
-        raise ValueError("block has zero mass on its E-set")
-    delta = core2 / full2 if delta is None else float(delta)
-    c = cap / core2 if c is None else float(c)
-    if delta <= 0 or c <= 0:
-        raise ValueError("delta and c must be positive")
-    a_ok = core2 >= delta * full2 * (1.0 - SLACK)
-    b_ok = c * core2 >= cap * (1.0 - SLACK)
-    if require:
-        if not a_ok:
-            raise ValueError(
-                f"condition a fails: E-part mass {core2:.6g} < delta * {full2:.6g}"
-            )
-        if not b_ok:
-            raise ValueError(
-                f"condition b fails: c * {core2:.6g} < omega(E)^ratio_exp = {cap:.6g}"
-            )
-    return Block(sup, Eset, vector, delta, c, bool(a_ok), bool(b_ok))
+    delta, c, [(a, b)] = block_conditions([(vector, Eset)], delta, c)
+    if require and not a.ok:
+        raise ValueError(
+            f"condition a fails: E-part mass {a.lhs:.6g} < delta * {norm_2w(vector):.6g}"
+        )
+    if require and not b.ok:
+        raise ValueError(f"condition b fails: c * {a.lhs:.6g} < omega(E)^ratio_exp = {b.rhs:.6g}")
+    return Block(sup, Eset, vector, delta, c, (a, b))
 
 
 def functional_apply(b: Block | RosenthalBlock, x: SpVector, *, form: str = "restricted") -> float:
@@ -195,27 +206,18 @@ class HolderBounds:
 
 def holder_bounds(b: Block | RosenthalBlock, x: SpVector) -> HolderBounds:
     """Evaluate the Holder chain of the block's full-support functional at x."""
-    f = functional_apply(b, x, form="full")
-    z = b.vector
+    f = abs(functional_apply(b, x, form="full"))
     xs = restrict(x, b.support)
-    lhs2 = abs(f) * norm_2w(z)
-    rhs2 = norm_2w(xs)
-    lhsp = abs(f) * norm_p(z)
-    rhsp = norm_p(xs)
-    if isinstance(b, RosenthalBlock):
-        c = 1.0
-    else:
-        c = b.c
-    z2 = norm_2w(z)
-    need = max_ratio(b.space, b.support) * norm_p(z)
-    admissible = c * z2 >= need * (1.0 - SLACK)
-    ok2 = lhs2 <= rhs2 * (1.0 + SLACK) + 1e-300
-    okp = lhsp <= c * rhsp * (1.0 + SLACK) + 1e-300
-    return HolderBounds(lhs2, rhs2, lhsp, rhsp, c, bool(admissible), bool(ok2), bool(okp))
+    z2, zp = norm_2w(b.vector), norm_p(b.vector)
+    lhs2, rhs2, lhsp, rhsp = f * z2, norm_2w(xs), f * zp, norm_p(xs)
+    c = 1.0 if isinstance(b, RosenthalBlock) else b.c
+    admissible = holds(c * z2, ">=", max_ratio(b.space, b.support) * zp)
+    ok2, okp = holds(lhs2, "<=", rhs2), holds(lhsp, "<=", c * rhsp)
+    return HolderBounds(lhs2, rhs2, lhsp, rhsp, c, admissible, ok2, okp)
 
 
 def extremality_check(space: WeightedSpace, I, x: SpVector) -> bool:
-    """True iff ratio(x) <= the extremal ratio of I, within 1e-9.
+    """True iff ratio(x) <= the extremal ratio of I, judged by :func:`holds`.
 
     x must be nonzero and supported inside I. The extremal ratio is
     omega(I) ** ((p-2)/2p), attained exactly by the extremal block profile.
@@ -225,4 +227,4 @@ def extremality_check(space: WeightedSpace, I, x: SpVector) -> bool:
         raise ValueError("extremality undefined for the zero vector")
     if not x.support.issubset(sup):
         raise ValueError("x has support outside I")
-    return ratio(x) <= max_ratio(space, sup) + 1e-9
+    return holds(ratio(x), "<=", max_ratio(space, sup))

@@ -24,7 +24,6 @@ import time
 
 from .blocks import make_block, make_rosenthal
 from .criteria import (
-    check,
     check_proof_bounds,
     check_prop24,
     check_thm13,
@@ -48,7 +47,7 @@ from .serialize import (
     load_json,
     witness_to_doc,
 )
-from .space import max_ratio, norm_2w, norm_p, ratio, xp_norm
+from .space import check, norm_2w, norm_p, ratio, xp_norm
 from .splitter import solve_constants, split
 from .weights import generate, rosenthal_diagnostic
 
@@ -252,12 +251,7 @@ def _cmd_blocks(args, seed):
         blk = make_rosenthal(space, _indices(args.I))
         return [], {"block": block_to_doc(make_block(blk.vector, blk.support))}
     blk = doc_to_block(load_json(args.block), space, require=False)
-    core2 = norm_2w(blk.core())
-    checks = [
-        check("condition_a", core2, ">=", blk.delta * norm_2w(blk.vector)),
-        check("condition_b", blk.c * core2, ">=", max_ratio(space, blk.Eset)),
-    ]
-    return checks, {"delta": blk.delta, "c": blk.c}
+    return list(blk.conditions), {"delta": blk.delta, "c": blk.c}
 
 
 def _cmd_project(args, seed):

@@ -25,10 +25,11 @@ from .operators import (
 )
 from .space import (
     NORM_TOL,
-    SLACK,
+    Check,
     SpVector,
     SupportSet,
     WeightedSpace,
+    check,
     head_proj,
     max_ratio,
     norm_2w,
@@ -37,13 +38,11 @@ from .space import (
     ratio,
     restrict,
     tail_proj,
+    verdict,
     xp_norm,
 )
 
 __all__ = [
-    "Check",
-    "check",
-    "verdict",
     "CriterionReport",
     "Thm13Witness",
     "WitnessInfeasibleError",
@@ -61,55 +60,6 @@ __all__ = [
 
 class WitnessInfeasibleError(ValueError):
     """The requested witness family cannot exist on this weight window."""
-
-
-@dataclass(frozen=True)
-class Check:
-    """One named inequality: lhs op rhs, with the verdict and applicability."""
-
-    name: str
-    lhs: float
-    op: str
-    rhs: float
-    ok: bool
-    applicable: bool = True
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "lhs": self.lhs,
-            "op": self.op,
-            "rhs": self.rhs,
-            "ok": self.ok,
-            "applicable": self.applicable,
-        }
-        if self.note:
-            d["note"] = self.note
-        return d
-
-
-def check(name, lhs, op, rhs, *, applicable=True, slack=0.0, note="") -> Check:
-    """Evaluate lhs op rhs, loosened by slack * max(|lhs|, |rhs|, 1)."""
-    lhs = float(lhs)
-    rhs = float(rhs)
-    pad = slack * max(abs(lhs), abs(rhs), 1.0)
-    if op == "<":
-        ok = lhs < rhs + pad
-    elif op == "<=":
-        ok = lhs <= rhs + pad
-    elif op == ">=":
-        ok = lhs >= rhs - pad
-    elif op == ">":
-        ok = lhs > rhs - pad
-    else:
-        raise ValueError(f"unknown comparison {op!r}")
-    return Check(name, lhs, op, rhs, bool(ok), bool(applicable), note)
-
-
-def verdict(checks) -> bool:
-    """Verdict of a set of checks: every applicable one holds."""
-    return all(c.ok for c in checks if c.applicable)
 
 
 @dataclass(frozen=True)
@@ -338,20 +288,18 @@ def check_proof_bounds(
             "<=",
             rho**-2.0 * delta ** (-4.0 / (p - 2.0)) * yE2 ** (2.0 * p / (p - 2.0)),
             applicable=b_holds,
-            slack=SLACK,
             note="" if b_holds else "E-part below delta share; ceiling not applicable",
         ),
-        check("dropped_p_mass", tail_mass, "<=", rho ** (p - 2.0), slack=SLACK),
+        check("dropped_p_mass", tail_mass, "<=", rho ** (p - 2.0)),
         check(
             "kept_norm_floor",
             xp_norm(yE),
             ">=",
             kept_floor,
             applicable=p_attains,
-            slack=SLACK,
             note="" if p_attains else "2w-norm attains the max; floor not applicable",
         ),
-        check("dropped_p_norm", dropped_p, "<=", rho ** (1.0 - 2.0 / p), slack=SLACK),
+        check("dropped_p_norm", dropped_p, "<=", rho ** (1.0 - 2.0 / p)),
     )
     data = {
         "E": list(E.indices),

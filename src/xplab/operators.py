@@ -30,14 +30,13 @@ import numpy as np
 
 from . import _dense
 from ._dense import col_norm, union_window, vectors_to_cols, window_weights
-from .blocks import Block, functional_apply
+from .blocks import Block, block_conditions, functional_apply
 from .space import (
     NORM_TOL,
-    SLACK,
     SpVector,
     WeightedSpace,
+    holds,
     inner,
-    max_ratio,
     norm_2w,
     norm_p,  # unused here; bench/tests/test_bench_tracing.py asserts operators.norm_p
     ratio,
@@ -103,30 +102,17 @@ class BlockSystem:
             if seen & s:
                 raise ValueError(f"block {j} overlaps an earlier block's support")
             seen |= s
-        core2 = [norm_2w(b.core()) for b in blocks]
-        full2 = [norm_2w(b.vector) for b in blocks]
-        caps = [max_ratio(space, b.Eset) for b in blocks]
-        if any(v == 0.0 for v in core2):
-            raise ValueError("a block has zero mass on its E-set")
-        delta = self.delta
-        c = self.c
-        if delta is None:
-            delta = min(co / fu for co, fu in zip(core2, full2))
-        if c is None:
-            c = max(cap / co for cap, co in zip(caps, core2))
-        delta = float(delta)
-        c = float(c)
-        if delta <= 0 or c <= 0:
-            raise ValueError("delta and c must be positive")
-        for j, (co, fu, cap) in enumerate(zip(core2, full2, caps)):
-            if co < delta * fu * (1.0 - SLACK):
+        parts = [(b.vector, b.Eset) for b in blocks]
+        delta, c, conditions = block_conditions(parts, self.delta, self.c)
+        for j, (a, b) in enumerate(conditions):
+            if not a.ok:
                 raise ValueError(f"block {j} violates condition a at delta={delta}")
-            if c * co < cap * (1.0 - SLACK):
+            if not b.ok:
                 raise ValueError(f"block {j} violates condition b at c={c}")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "induced", tuple(caps))
+        object.__setattr__(self, "induced", tuple(b.rhs for _, b in conditions))
         object.__setattr__(
             self,
             "normalized",
@@ -205,21 +191,20 @@ def ratio_bounds_check(sys: BlockSystem) -> list[RatioWindowRow]:
     raising so that counterexample systems can be inspected.
     """
     rows = []
-    for j, b in enumerate(sys.blocks):
-        r = ratio(b.vector)
-        wprime = sys.induced[j]
-        lo = wprime / sys.c
-        hi = wprime / sys.delta
-        ok = lo * (1.0 - SLACK) <= r <= hi * (1.0 + SLACK)
-        rows.append(RatioWindowRow(j, lo, r, hi, bool(ok)))
+    for j, (b, wprime) in enumerate(zip(sys.blocks, sys.induced)):
+        r, lo, hi = ratio(b.vector), wprime / sys.c, wprime / sys.delta
+        rows.append(RatioWindowRow(j, lo, r, hi, holds(r, ">=", lo) and holds(r, "<=", hi)))
     return rows
 
 
 class GramProjector:
     """Orthogonal projection onto span(basis) in the weighted inner product.
 
-    The Gram matrix is factored once (Cholesky) behind a condition-number
-    guard of 1e12; a basis too close to dependent is rejected outright.
+    The Gram matrix B^T W^2 B is formed from the basis columns times 2^-k,
+    with k = 0 while its sums are finite and normal, else the binary exponent
+    of the largest weighted entry. It is factored once (Cholesky) behind a
+    condition-number guard of 1e12; a basis too close to dependent is
+    rejected outright. ``coefficients`` are over the scaled columns.
     """
 
     def __init__(self, basis: Sequence[SpVector]):
@@ -229,7 +214,13 @@ class GramProjector:
             "basis vectors live in different spaces")
         if not self._B.any(axis=0).all():
             raise ValueError("basis vectors must be nonzero")
-        G = (self._B * (self._w**2)[:, None]).T @ self._B
+        self._k, w2 = 0, (self._w**2)[:, None]
+        with np.errstate(over="ignore", under="ignore"):
+            G = (self._B * w2).T @ self._B
+            if not (np.isfinite(G).all() and np.diag(G).min() >= np.finfo(float).tiny):
+                self._k = int(np.frexp(np.max(np.abs(self._B * self._w[:, None])))[1])
+                self._B = np.ldexp(self._B, -self._k)
+                G = (self._B * w2).T @ self._B
         cond = float(np.linalg.cond(G))
         if not math.isfinite(cond) or cond > GRAM_COND_GUARD:
             raise ValueError(
@@ -249,9 +240,8 @@ class GramProjector:
         return self._B @ coeff
 
     def coefficients(self, x: SpVector) -> np.ndarray:
-        rhs = np.array([inner(b, x) for b in self.basis])
-        y = np.linalg.solve(self._L, rhs)
-        return np.linalg.solve(self._L.T, y)
+        rhs = np.ldexp([inner(b, x) for b in self.basis], -self._k)
+        return np.linalg.solve(self._L.T, np.linalg.solve(self._L, rhs))
 
     def apply(self, x: SpVector) -> SpVector:
         """Project x onto the span in the weighted inner product."""
@@ -482,5 +472,4 @@ def prop26_chain(
     r = ratio(x)
     lhs = xp_norm(Q.apply(x))
     rhs = math.sqrt(upper) * math.sqrt(r) * xp_norm(x) / bprime
-    ok = lhs <= rhs * (1.0 + SLACK)
-    return ChainResult(lhs, rhs, r, est.lower, upper, bool(ok))
+    return ChainResult(lhs, rhs, r, est.lower, upper, holds(lhs, "<=", rhs))

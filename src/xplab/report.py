@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .criteria import Check, verdict
 from .serialize import canonical_dumps
+from .space import Check, verdict
 
 __all__ = ["ARTIFACT_VERSION", "Report", "csv_rows"]
 

@@ -19,6 +19,10 @@ import numpy as np
 
 __all__ = [
     "MAX_DIM",
+    "holds",
+    "Check",
+    "check",
+    "verdict",
     "SpaceMismatchError",
     "SupportSet",
     "WeightedSpace",
@@ -39,7 +43,8 @@ __all__ = [
 
 MAX_DIM = 65536
 
-# Relative slack for inequality verdicts across the lab; float roundoff only.
+# The relative slack of every inequality verdict in the lab, through holds():
+# it allows float roundoff only.
 SLACK = 1e-12
 
 # How far from 1 a vector's space norm may sit and still count as normalized.
@@ -49,6 +54,63 @@ _SMALLEST_NORMAL = sys.float_info.min
 
 # Below this, weight powers are accumulated in log space; see omega().
 TINY_WEIGHT = 1e-100
+
+
+def holds(lhs, op, rhs):
+    """The lab's one verdict rule: lhs op rhs, loosened by SLACK * max(|lhs|, |rhs|).
+
+    op is "<", "<=", ">=" or ">". The pad is relative, so a verdict does not
+    depend on the scale of its sides, and an infinite side gets none, so it
+    never passes a bound through the pad. Two floats take the scalar path;
+    anything else, numpy arrays above all, is judged elementwise.
+    """
+    if type(lhs) is float and type(rhs) is float:
+        a, b = abs(lhs), abs(rhs)
+        pad = SLACK * (a if a > b else b)
+        if pad == math.inf:
+            pad = 0.0
+    else:
+        pad = SLACK * np.maximum(np.abs(lhs), np.abs(rhs))
+        pad = np.where(pad < math.inf, pad, 0.0)
+    if op == "<=":
+        return lhs <= rhs + pad
+    if op == ">=":
+        return lhs >= rhs - pad
+    if op == "<":
+        return lhs < rhs + pad
+    if op == ">":
+        return lhs > rhs - pad
+    raise ValueError(f"unknown comparison {op!r}")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named inequality: lhs op rhs, with the verdict and applicability."""
+
+    name: str
+    lhs: float
+    op: str
+    rhs: float
+    ok: bool
+    applicable: bool = True
+    note: str = ""
+
+    def to_dict(self) -> dict:
+        d = {k: getattr(self, k) for k in ("name", "lhs", "op", "rhs", "ok", "applicable")}
+        if self.note:
+            d["note"] = self.note
+        return d
+
+
+def check(name, lhs, op, rhs, *, applicable=True, note="") -> Check:
+    """The Check of lhs op rhs as floats, judged by :func:`holds`."""
+    lhs, rhs = float(lhs), float(rhs)
+    return Check(name, lhs, op, rhs, bool(holds(lhs, op, rhs)), bool(applicable), note)
+
+
+def verdict(checks) -> bool:
+    """Verdict of a set of checks: every applicable one holds."""
+    return all(c.ok for c in checks if c.applicable)
 
 
 class SpaceMismatchError(ValueError):
@@ -160,7 +222,7 @@ class WeightedSpace:
     def __hash__(self) -> int:
         return hash((self.p, self.weights))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.weights)
 

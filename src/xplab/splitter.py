@@ -11,16 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .criteria import Check, check, extract_Ei, verdict
+from .criteria import extract_Ei
 from .space import (
     NORM_TOL,
+    Check,
     SpVector,
     SupportSet,
+    check,
     head_proj,
     norm_2w,
     norm_p,
     ratio,
     restrict,
+    verdict,
     xp_norm,
 )
 

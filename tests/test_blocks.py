@@ -100,7 +100,8 @@ def test_make_block_validation(pair_space):
     with pytest.raises(ValueError, match="positive"):
         make_block(z, [1], -0.5, 1.0)
     blk = make_block(z, [2], 0.99, 10.0, require=False)
-    assert not blk.cond_a_ok and blk.cond_b_ok
+    a, b = blk.conditions
+    assert (a.name, a.ok, b.name, b.ok) == ("condition_a", False, "condition_b", True)
 
 
 def test_holder_bounds_rosenthal(pair_space, x_pair):

@@ -197,6 +197,18 @@ def test_gram_pythagoras():
         assert inner(x - qx, Z[0]) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [660, -660])
+def test_gram_matrix_is_scale_free(k):
+    # B^T W^2 B of the basis times 2^660 overflows, and times 2^-660 underflows,
+    # so the projector forms it from the basis times a power of two
+    sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7))
+    span = [{1: 1.0}, {2: 1.0, 3: 0.5}]
+    Q, Qk = (GramProjector([SpVector(sp, v) * math.ldexp(1.0, j) for v in span]) for j in (0, k))
+    assert np.array_equal(Qk.matrix, Q.matrix)
+    x = SpVector(sp, {1: 3.0, 2: -1.0, 4: 2.0})
+    assert Qk.apply(x) == Q.apply(x)
+
+
 def test_gram_rejects_dependent_basis():
     sp = WeightedSpace(4.0, (1.0, 0.5))
     v = SpVector(sp, {1: 1.0, 2: 1.0})

@@ -67,3 +67,17 @@ def test_no_private_names_imported_across_modules():
         if a.name.startswith("_")
     ]
     assert private == []
+
+
+def test_one_slack_constant_and_no_slack_keyword():
+    # only space.py names SLACK (its definition and the one verdict rule),
+    # and no call sets a slack of its own
+    found = [
+        (name, node.lineno)
+        for name, tree in _module_trees()
+        for node in ast.walk(tree)
+        if name != "space.py"
+        and "SLACK" in (getattr(node, a, None) for a in ("id", "attr", "name"))
+        or isinstance(node, ast.keyword) and node.arg == "slack"
+    ]
+    assert found == []

@@ -12,8 +12,10 @@ from xplab import (
     SupportSet,
     WeightedSpace,
     basis_vector,
+    check,
     from_pairs,
     head_proj,
+    holds,
     inner,
     max_ratio,
     norm_2w,
@@ -201,3 +203,39 @@ def test_spaces_one_ulp_apart_are_unequal():
     assert a != b
     with pytest.raises(SpaceMismatchError):
         inner(SpVector(a, {1: 1.0}), SpVector(b, {1: 1.0}))
+
+
+ULP = math.ulp(1.0)
+
+
+@pytest.mark.parametrize(
+    "lhs, op, rhs, ok",
+    [
+        # one-ulp ties hold in all four operators
+        (1.0 + ULP, "<=", 1.0, True),
+        (1.0, ">=", 1.0 + ULP, True),
+        (1.0 + ULP, "<", 1.0, True),
+        (1.0, ">", 1.0 + ULP, True),
+        (-1.0 - ULP, ">=", -1.0, True),
+        # past the pad
+        (1.0 + 1e-11, "<=", 1.0, False),
+        (1.0, ">", 1.0 + 1e-11, False),
+        # the pad is relative, never absolute
+        (1e-20, ">=", 5e-13, False),
+        (0.0, "<", 0.0, False),
+        # an infinite side gets no pad
+        (math.inf, "<=", 1.0, False),
+        (math.inf, "<=", math.inf, True),
+        (1.0, ">=", math.inf, False),
+        (-math.inf, "<", 1.0, True),
+    ],
+)
+def test_one_verdict_rule(lhs, op, rhs, ok):
+    assert check("q", lhs, op, rhs).ok is ok
+    if math.isfinite(lhs) and math.isfinite(rhs):
+        scaled = {holds(math.ldexp(lhs, k), op, math.ldexp(rhs, k)) for k in range(-1000, 1001)}
+        assert scaled == {ok}
+    L, R = np.array([lhs, 1.0, 2.0, -3.0]), np.array([rhs, 2.0, 1.0, math.inf])
+    assert holds(L, op, R).tolist() == [holds(a, op, b) for a, b in zip(L.tolist(), R.tolist())]
+    with pytest.raises(ValueError, match="unknown comparison"):
+        holds(lhs, "=<", rhs)
