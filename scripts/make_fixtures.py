@@ -119,6 +119,16 @@ def main() -> None:
             "vectors": [[[1, 2.0**660]], [[2, 2.0**660], [3, 0.5 * 2.0**660]]],
         },
     )
+    # the same span over weights whose first is 1e200, where w^2 overflows
+    put(
+        "gram_op_heavy.json",
+        {
+            "kind": "gram",
+            "p": 4.0,
+            "weights": [1e200, *wts[1:]],
+            "vectors": [[[1, 1.0]], [[2, 1.0], [3, 0.5]]],
+        },
+    )
     put(
         "matrix_identity.json",
         {

@@ -7,8 +7,9 @@ on a block, a matrix and a Gram operator in both modes; split with full and
 with {delta, c, eps} constants; blocks check with given and with derived
 constants; weights gen with a D that cuts through a level), plus an xp
 opnorm on a matrix at 1e100 and classify kp on a span at 1e200, whose
-searches run on rescaled data, an xp opnorm on a Gram operator at 2^660,
-whose Gram matrix is formed from a rescaled basis, and blocks check and
+searches run on rescaled data, an xp opnorm on a Gram operator at 2^660
+and a 2w opnorm on one whose first weight is 1e200, whose projectors are
+built from column-scaled bases without squaring a weight, and blocks check and
 gen thm13 at c = 1 on inputs whose checks hold with equality up to
 roundoff, then ``batch`` on batch_small.json and the
 eight experiments at seed 0 and scale 0.05. Each report goes to
@@ -72,6 +73,7 @@ def commands() -> dict[str, list[str]]:
             cmds[f"opnorm-{kind}-{mode}"] = ["opnorm", "--op", _fix(doc), "--mode", mode]
     cmds["opnorm-huge-matrix-xp"] = ["opnorm", "--op", _fix("matrix_huge.json"), "--mode", "xp"]
     cmds["opnorm-huge-gram-xp"] = ["opnorm", "--op", _fix("gram_op_huge.json"), "--mode", "xp"]
+    cmds["opnorm-heavy-gram-2w"] = ["opnorm", "--op", _fix("gram_op_heavy.json"), "--mode", "2w"]
     cmds["split-full"] = ["split", "--constants", _fix("split_constants.json"), *split]
     partial = json.dumps({k: sc[k] for k in ("delta", "c", "eps")}, sort_keys=True)
     cmds["split-partial"] = ["split", "--constants", partial, *split]

@@ -7,14 +7,14 @@ them against the sparse reference. A window is a sorted array of 1-based
 indices; the operators of :mod:`xplab.operators` carry one as ``window``
 next to their ``matrix``, and the weights and columns here are laid out
 over it. ``dense_window`` lays a family of sparse vectors out as columns over
-the union of their supports, ``col_to_vector`` gathers a column back into a
-sparse vector, and ``into_range`` is the range rule that scales a search's
-data so that its power sums stay finite. Every seeded stream of the package
-is built here, by ``_child``, and the seeded start columns of the estimators
-by ``_sample_columns``. So is the coordinate search that polishes them: it
-searches over affine images c + M X of the columns and carries them with
-their power sums, so a step on one coordinate recomputes only the image rows
-that the step touches.
+the union of their supports, ``vector_to_col`` and ``col_to_vector`` move one
+vector between the forms, ``unit_columns`` equilibrates columns, and
+``into_range`` scales a search's data so that its power sums stay finite.
+Every seeded stream of the package is built here, by ``_child``, and the
+seeded start columns of the estimators by ``_sample_columns``. So is the
+coordinate search that polishes them: it searches over affine images c + M X
+of the columns and carries them with their power sums, so a step on one
+coordinate recomputes only the image rows that the step touches.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ def into_range(data, X: np.ndarray, h, rounds: int, p: float) -> list:
     return list(data)
 
 
+def unit_columns(X: np.ndarray) -> np.ndarray:
+    """X with each column scaled by a power of two, so that its norm is in range, then to norm 1."""
+    X = np.ldexp(X, -np.frexp(np.max(np.abs(X), axis=0))[1])
+    return X / np.linalg.norm(X, axis=0)
+
+
 def col_norm_p(X: np.ndarray, p: float) -> np.ndarray:
     """Column p-norms, unscaled: they overflow or underflow on their own once
     |x|^p leaves the double range (|x| beyond about 1e77 or 1e-77 at p = 4), so
@@ -75,14 +81,10 @@ def col_norm_2w(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((X * w[:, None]) ** 2, axis=0))
 
 
-def col_xp(X: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    return np.maximum(col_norm_p(X, p), col_norm_2w(X, w))
-
-
 def col_norm(X: np.ndarray, w: np.ndarray, p: float, mode: str) -> np.ndarray:
     """Column norms in mode "xp", "2w" or "p"."""
     if mode == "xp":
-        return col_xp(X, w, p)
+        return np.maximum(col_norm_p(X, p), col_norm_2w(X, w))
     if mode == "2w":
         return col_norm_2w(X, w)
     if mode == "p":
@@ -124,6 +126,11 @@ def dense_window(vectors, empty: str = "a dense window needs at least one vector
         raise ValueError(mixed)
     idx = union_window(vectors)
     return space, idx, vectors_to_cols(vectors, idx), window_weights(space, idx)
+
+
+def vector_to_col(x: SpVector, idx: np.ndarray) -> np.ndarray:
+    """The entries of x over the window idx; entries outside it are dropped."""
+    return np.array([x.entries.get(i, 0.0) for i in idx.tolist()])
 
 
 def col_to_vector(space: WeightedSpace, idx: np.ndarray, col: np.ndarray) -> SpVector:

@@ -36,7 +36,6 @@ from .space import (
     SpVector,
     WeightedSpace,
     holds,
-    inner,
     norm_2w,
     norm_p,  # unused here; bench/tests/test_bench_tracing.py asserts operators.norm_p
     ratio,
@@ -62,7 +61,7 @@ __all__ = [
 # desk-scale tools, not production solvers.
 DENSE_WINDOW_CAP = 4096
 
-GRAM_COND_GUARD = 1e12
+GRAM_COND_GUARD = 1e6
 
 
 def _check_cap(d: int) -> None:
@@ -200,54 +199,39 @@ def ratio_bounds_check(sys: BlockSystem) -> list[RatioWindowRow]:
 class GramProjector:
     """Orthogonal projection onto span(basis) in the weighted inner product.
 
-    The Gram matrix B^T W^2 B is formed from the basis columns times 2^-k,
-    with k = 0 while its sums are finite and normal, else the binary exponent
-    of the largest weighted entry. It is factored once (Cholesky) behind a
-    condition-number guard of 1e12; a basis too close to dependent is
-    rejected outright. ``coefficients`` are over the scaled columns.
+    With W the window weights and B the basis columns, it is W^-1 U U^T W
+    for U the orthonormal factor of a QR of W B, after the columns of B and
+    then of W B are scaled to unit 2-norm. Scaling a column keeps the span, and
+    no weight or entry is squared. A basis whose k x k factor R has condition
+    number above GRAM_COND_GUARD is too close to dependent and is rejected.
     """
 
     def __init__(self, basis: Sequence[SpVector]):
         self.basis = tuple(basis)
-        self.space, self.window, self._B, self._w = _dense.dense_window(
+        self.space, self.window, B, self._w = _dense.dense_window(
             self.basis, "gram projector needs a nonempty basis",
             "basis vectors live in different spaces")
-        if not self._B.any(axis=0).all():
+        if not B.any(axis=0).all():
             raise ValueError("basis vectors must be nonzero")
-        self._k, w2 = 0, (self._w**2)[:, None]
-        with np.errstate(over="ignore", under="ignore"):
-            G = (self._B * w2).T @ self._B
-            if not (np.isfinite(G).all() and np.diag(G).min() >= np.finfo(float).tiny):
-                self._k = int(np.frexp(np.max(np.abs(self._B * self._w[:, None])))[1])
-                self._B = np.ldexp(self._B, -self._k)
-                G = (self._B * w2).T @ self._B
-        cond = float(np.linalg.cond(G))
+        self._U, R = np.linalg.qr(_dense.unit_columns(_dense.unit_columns(B) * self._w[:, None]))
+        cond = float(np.linalg.cond(R)) if len(R) == B.shape[1] else math.inf
         if not math.isfinite(cond) or cond > GRAM_COND_GUARD:
             raise ValueError(
-                f"gram matrix condition number {cond:.3g} exceeds guard {GRAM_COND_GUARD:.3g}"
+                f"gram basis condition number {cond:.3g} exceeds guard {GRAM_COND_GUARD:.3g}"
             )
-        try:
-            self._L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"gram matrix is not positive definite: {exc}") from exc
         self._opnorm_memo: dict = {}
 
     @cached_property
     def matrix(self) -> np.ndarray:
         _check_cap(len(self.window))
-        rhs_map = self._B.T * (self._w**2)[None, :]
-        coeff = np.linalg.solve(self._L.T, np.linalg.solve(self._L, rhs_map))
-        return self._B @ coeff
-
-    def coefficients(self, x: SpVector) -> np.ndarray:
-        rhs = np.ldexp([inner(b, x) for b in self.basis], -self._k)
-        return np.linalg.solve(self._L.T, np.linalg.solve(self._L, rhs))
+        return (self._U / self._w[:, None]) @ (self._U.T * self._w[None, :])
 
     def apply(self, x: SpVector) -> SpVector:
         """Project x onto the span in the weighted inner product."""
         if x.space != self.space:
             raise ValueError("x lives in a different space than the projector")
-        return _dense.col_to_vector(self.space, self.window, self._B @ self.coefficients(x))
+        col = self._U @ (self._U.T @ (self._w * _dense.vector_to_col(x, self.window))) / self._w
+        return _dense.col_to_vector(self.space, self.window, col)
 
     def opnorm(self, mode: str = "xp", budget: int = 256, seed: int = 0) -> "OpNormEstimate":
         key = (mode, int(budget), int(seed))
@@ -282,8 +266,8 @@ class DenseOperator:
         self.window = window
 
     def apply(self, x: SpVector) -> SpVector:
-        col = np.array([x.entries.get(i, 0.0) for i in self.window.tolist()])
-        return _dense.col_to_vector(self.space, self.window, self.matrix @ col)
+        col = self.matrix @ _dense.vector_to_col(x, self.window)
+        return _dense.col_to_vector(self.space, self.window, col)
 
 
 @dataclass(frozen=True)
@@ -399,10 +383,7 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
                                          "span vectors live in different spaces")
     if not B.any(axis=0).all():
         raise ValueError("span vectors must be nonzero")
-    # each column is first scaled by a power of two, so that its norm stays in range
-    Bn = np.ldexp(B, -np.frexp(np.max(np.abs(B), axis=0))[1])
-    Bn /= np.linalg.norm(Bn, axis=0)
-    s = np.linalg.svd(Bn, compute_uv=False)
+    s = np.linalg.svd(_dense.unit_columns(B), compute_uv=False)
     if s[-1] < 1e-10 * s[0]:
         raise ValueError("span vectors are linearly dependent")
     p = space.p
@@ -459,8 +440,10 @@ def prop26_chain(
     """Norm chain for a span whose unit vectors all have ratio >= bprime.
 
     lhs is xp_norm(Qx); rhs is opnorm(Q)^(1/2) * ratio(x)^(1/2) * xp_norm(x)
-    / bprime, with opnorm(Q) the certified xp upper bound (recorded). The
-    caller certifies bprime, e.g. via estimate_h_inf.
+    / bprime, with opnorm(Q) the certified xp upper bound (recorded). bprime
+    is taken as given and certified by nothing here: a sampled search such as
+    estimate_h_inf can only overestimate the infimum of the ratio, so a bprime
+    taken below its value (criterion 7 takes 0.9 of it) is a margin, not a proof.
     """
     if x.is_zero():
         raise ValueError("chain undefined at the zero vector")

@@ -4,44 +4,40 @@ Deliberately a different algorithm from the seeded estimators in
 :mod:`xplab.operators`: directions come from an exhaustive grid on the cube
 surface (every direction in R^d meets it projectively) with a few rounds of
 local refinement. Usable up to dimension 6; meant as the ground truth the
-estimators are compared against, never as the production path.
+estimators are compared against, never as the production path. Each oracle
+searches its data as :func:`xplab._dense.into_range` scales them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._dense import col_norm, dense_window
+from ._dense import col_norm, dense_window, into_range
 
 __all__ = ["brute_opnorm", "brute_ratio_extremum", "brute_min_distance"]
 
 MAX_ORACLE_DIM = 6
 
 
-def _face_grid(d: int, m: int) -> np.ndarray:
-    """All points of an m-per-axis grid on the surface of [-1, 1]^d, as columns."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if d == 1:
-        return np.array([[1.0, -1.0]])
-    lin = np.linspace(-1.0, 1.0, m)
-    mesh = np.meshgrid(*([lin] * (d - 1)), indexing="ij")
-    rest = np.stack([g.ravel() for g in mesh], axis=0)
-    blocks = []
-    for k in range(d):
-        for s in (1.0, -1.0):
-            face = np.empty((d, rest.shape[1]))
-            face[k, :] = s
-            others = [j for j in range(d) if j != k]
-            face[others, :] = rest
-            blocks.append(face)
-    return np.concatenate(blocks, axis=1)
-
-
 def _cube_grid(d: int, m: int) -> np.ndarray:
     lin = np.linspace(-1.0, 1.0, m)
     mesh = np.meshgrid(*([lin] * d), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=0)
+
+
+def _face_grid(d: int, m: int) -> np.ndarray:
+    """All points of an m-per-axis grid on the surface of [-1, 1]^d, as columns."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    rest = _cube_grid(d - 1, m) if d > 1 else np.empty((0, 1))
+    return np.concatenate([np.insert(rest, k, s, axis=0) for k in range(d) for s in (1.0, -1.0)],
+                          axis=1)
+
+
+def _in_range(D: np.ndarray, X: np.ndarray, r: float, rounds: int, p: float):
+    """D brought into range for a grid search from X, and the power of two that undoes it."""
+    (S,) = into_range([D], X, r, rounds, p)
+    return S, (1.0 if S is D else float(np.max(np.abs(D)) / np.max(np.abs(S))))
 
 
 def _extremize(objective, X: np.ndarray, r: float, refine_rounds: int, keep_zero=False) -> float:
@@ -75,6 +71,8 @@ def brute_opnorm(A: np.ndarray, w: np.ndarray, p: float, mode: str = "xp",
     d = A.shape[0]
     if d > MAX_ORACLE_DIM:
         raise ValueError(f"oracle limited to dimension {MAX_ORACLE_DIM}")
+    grid, r = _face_grid(d, m), 2.0 / max(m - 1, 1)
+    A, back = _in_range(A, grid, r, refine_rounds, p)  # the norm is homogeneous in A
 
     def objective(X):
         den = col_norm(X, w, p, mode)
@@ -82,7 +80,7 @@ def brute_opnorm(A: np.ndarray, w: np.ndarray, p: float, mode: str = "xp",
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
 
-    return _extremize(objective, _face_grid(d, m), 2.0 / max(m - 1, 1), refine_rounds)
+    return back * _extremize(objective, grid, r, refine_rounds)
 
 
 def brute_ratio_extremum(V, sense: int, m: int = 13, refine_rounds: int = 4) -> float:
@@ -92,6 +90,8 @@ def brute_ratio_extremum(V, sense: int, m: int = 13, refine_rounds: int = 4) -> 
     k = B.shape[1]
     if k > MAX_ORACLE_DIM:
         raise ValueError(f"oracle limited to span dimension {MAX_ORACLE_DIM}")
+    grid, r = _face_grid(k, m), 2.0 / max(m - 1, 1)
+    (B,) = into_range([B], grid, r, refine_rounds, p)  # the ratio is homogeneous in B
 
     def objective(Ac):
         Y = B @ Ac
@@ -100,29 +100,32 @@ def brute_ratio_extremum(V, sense: int, m: int = 13, refine_rounds: int = 4) -> 
         with np.errstate(divide="ignore", invalid="ignore"):
             return sense * np.where(den > 0, num / np.maximum(den, 1e-300), -np.inf)
 
-    return sense * _extremize(objective, _face_grid(k, m), 2.0 / max(m - 1, 1), refine_rounds)
+    return sense * _extremize(objective, grid, r, refine_rounds)
 
 
 def brute_min_distance(x, Y, m: int = 9, refine_rounds: int = 5) -> float:
     """Grid-search min over coefficients a of xp_norm(x - sum a_j y_j).
 
     The search box comes from a data-independent bound: any minimizer
-    satisfies |a|_2 <= 2 xp_norm(x) / sigma_min(W B).
+    satisfies |a|_2 <= R = 2 xp_norm(x) / sigma_min(W B). R is scale-free and
+    is taken on (B, x) in range for the unit box, the search on (B, x) in range
+    for the box of radius R, whose distance is scaled back.
     """
-    space, _, B, w = dense_window((*Y, x))
-    B, xcol = B[:, :-1], B[:, -1]
+    space, _, D, w = dense_window((*Y, x))
     p = space.p
-    k = B.shape[1]
+    k = D.shape[1] - 1
     if k > MAX_ORACLE_DIM:
         raise ValueError(f"oracle limited to span dimension {MAX_ORACLE_DIM}")
-    xnorm = float(col_norm(xcol[:, None], w, p, "xp")[0])
-    smin = float(np.linalg.svd(B * w[:, None], compute_uv=False)[-1])
+    grid, r = _cube_grid(k, m), 2.0 / max(m - 1, 1)
+    S, _ = _in_range(D, grid, r, refine_rounds, p)
+    xnorm = float(col_norm(S[:, -1:], w, p, "xp")[0])
+    smin = float(np.linalg.svd(S[:, :-1] * w[:, None], compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("distance oracle needs independent span vectors")
     R = 2.0 * xnorm / smin
+    S, back = _in_range(D, grid * R, r * R, refine_rounds, p)
 
     def negated_cost(Ac):
-        return -col_norm(xcol[:, None] - B @ Ac, w, p, "xp")
+        return -col_norm(S[:, -1:] - S[:, :-1] @ Ac, w, p, "xp")
 
-    return -_extremize(negated_cost, _cube_grid(k, m) * R, 2.0 * R / max(m - 1, 1), refine_rounds,
-                       keep_zero=True)
+    return -back * _extremize(negated_cost, grid * R, r * R, refine_rounds, keep_zero=True)

@@ -197,16 +197,25 @@ def test_gram_pythagoras():
         assert inner(x - qx, Z[0]) == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("k", [660, -660])
-def test_gram_matrix_is_scale_free(k):
-    # B^T W^2 B of the basis times 2^660 overflows, and times 2^-660 underflows,
-    # so the projector forms it from the basis times a power of two
-    sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7))
+@pytest.mark.parametrize("wk, ks", [
+    pytest.param(0, (660, 660), id="660"),
+    pytest.param(0, (-660, -660), id="-660"),
+    pytest.param(1000, (0, 0), id="weights-1000"),
+    pytest.param(-1000, (0, 0), id="weights--1000"),
+    pytest.param(0, (600, -600), id="600--600"),
+])
+def test_gram_matrix_is_scale_free(wk, ks):
+    # the weights and the vectors times powers of two: B^T W^2 B would overflow or
+    # underflow, and at 600/-600 its condition number would be 2^2400; the projector
+    # scales every column of B and of W B to unit norm, so W B and its factor do not change
+    w = (1.0, 0.5, 0.8, 0.7)
+    sp, spk = WeightedSpace(4.0, w), WeightedSpace(4.0, tuple(math.ldexp(t, wk) for t in w))
     span = [{1: 1.0}, {2: 1.0, 3: 0.5}]
-    Q, Qk = (GramProjector([SpVector(sp, v) * math.ldexp(1.0, j) for v in span]) for j in (0, k))
+    Q = GramProjector([SpVector(sp, v) for v in span])
+    Qk = GramProjector([SpVector(spk, v) * math.ldexp(1.0, j) for v, j in zip(span, ks)])
     assert np.array_equal(Qk.matrix, Q.matrix)
-    x = SpVector(sp, {1: 3.0, 2: -1.0, 4: 2.0})
-    assert Qk.apply(x) == Q.apply(x)
+    x = {1: 3.0, 2: -1.0, 4: 2.0}
+    assert Qk.apply(SpVector(spk, x)).entries == Q.apply(SpVector(sp, x)).entries
 
 
 def test_gram_rejects_dependent_basis():
@@ -214,6 +223,9 @@ def test_gram_rejects_dependent_basis():
     v = SpVector(sp, {1: 1.0, 2: 1.0})
     with pytest.raises(ValueError):
         GramProjector([v, v * 2.0])
+    # three vectors on two coordinates: the factor R is 2 x 3
+    with pytest.raises(ValueError, match="condition number inf"):
+        GramProjector([v, SpVector(sp, {1: 1.0}), SpVector(sp, {2: 1.0})])
 
 
 def test_span_extrema_single_vector():

@@ -1,10 +1,12 @@
 """Span estimators and defect_of against the dense-grid oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from xplab import SpVector, WeightedSpace, defect_of, estimate_h_inf, estimate_r_sup, xp_norm
-from xplab.oracle import brute_min_distance, brute_ratio_extremum
+from xplab.oracle import brute_min_distance, brute_opnorm, brute_ratio_extremum
 
 DIM = 6
 
@@ -36,3 +38,21 @@ def test_defect_never_above_oracle():
     # 19.7, oracle 0.435 against defect_of 0.292), so only this side is gated.
     for V, x in _spans():
         assert defect_of(x, V) <= brute_min_distance(x, V) / xp_norm(x) * 1.02
+
+
+def _oracle_values(k):
+    """Every oracle on data times 2^k, its absolute values scaled back by 2^-k."""
+    g = np.random.default_rng(11)
+    sp = WeightedSpace(3.3, tuple(g.uniform(0.2, 1.5, 8)))
+    u, v = (SpVector(sp, {n: float(t) for n, t in enumerate(g.standard_normal(8), start=1)})
+            for _ in range(2))
+    A, w, s = g.standard_normal((4, 4)), sp.warray[:4], math.ldexp(1.0, k)
+    return [brute_ratio_extremum([u * s, v * s], +1), brute_ratio_extremum([u * s, v * s], -1),
+            *(math.ldexp(brute_opnorm(A * s, w, sp.p, mode), -k) for mode in ("xp", "2w")),
+            math.ldexp(brute_min_distance(u * s, [v * s]), -k)]
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_oracles_are_scale_free(k):
+    # at 2^-600 and 2^600 every power sum at p = 3.3 leaves the double range
+    assert _oracle_values(k) == pytest.approx(_oracle_values(0), rel=1e-12)
