@@ -151,6 +151,9 @@ def main() -> None:
         },
     )
 
+    # a first weight of 1e150, whose mass w^(2p/(p-2)) = 1e600 at p = 4 is past the double range
+    put("space_heavy.json", {"p": 4.0, "weights": [1e150, 1.0, 0.5]})
+
     # generator target: flat tiny weights make single-index tail sets feasible
     tail = WeightedSpace(4.0, tuple([0.1] * 64))
     put("space_tail.json", {"p": 4.0, "weights": [0.1] * 64})
@@ -180,6 +183,16 @@ def main() -> None:
             "p": 4.0,
             "weights": wts,
             "vectors": [[[1, 1e200]], [[2, 1e200], [3, -0.5e200]]],
+        },
+    )
+    # the same span with its vectors times 2^-600 and 2^600: a search over the raw
+    # coefficients sees the first vector's power sums underflow and the second's overflow
+    put(
+        "vlist_span_mixed.json",
+        {
+            "p": 4.0,
+            "weights": wts,
+            "vectors": [[[1, 2.0**-600]], [[2, 2.0**600], [3, -0.5 * 2.0**600]]],
         },
     )
     put(

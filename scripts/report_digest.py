@@ -6,8 +6,10 @@ Every CLI subcommand runs once over the documents in tests/fixtures (opnorm
 on a block, a matrix and a Gram operator in both modes; split with full and
 with {delta, c, eps} constants; blocks check with given and with derived
 constants; weights gen with a D that cuts through a level), plus an xp
-opnorm on a matrix at 1e100 and classify kp on a span at 1e200, whose
-searches run on rescaled data, an xp opnorm on a Gram operator at 2^660
+opnorm on a matrix at 1e100, whose search runs on rescaled data, classify
+kp on a span at 1e200 and on one whose vectors are times 2^-600 and 2^600,
+whose searches run on the span's unit columns, blocks rosenthal on a space
+whose first weight is 1e150, an xp opnorm on a Gram operator at 2^660
 and a 2w opnorm on one whose first weight is 1e200, whose projectors are
 built from column-scaled bases without squaring a weight, and blocks check and
 gen thm13 at c = 1 on inputs whose checks hold with equality up to
@@ -58,6 +60,8 @@ def commands() -> dict[str, list[str]]:
     cmds = {
         "norm": ["norm", "--x", _fix("x_pair.json")],
         "blocks-rosenthal": ["blocks", "rosenthal", "--space", _fix("space_pair.json"), "--I", "1,2"],
+        "blocks-rosenthal-heavy": ["blocks", "rosenthal", "--space", _fix("space_heavy.json"),
+                                   "--I", "1,2,3"],
         "blocks-check": ["blocks", "check", "--block", _fix("block_good.json"),
                          "--space", _fix("space_small.json")],
         "blocks-check-tight": ["blocks", "check", "--block", _fix("block_tight.json"),
@@ -92,6 +96,7 @@ def commands() -> dict[str, list[str]]:
                          "--delta", "0.5", "--c", "1", "--count", "2"],
         "classify-kp": ["classify", "kp", "--v", _fix("vlist_span.json"), "--C", "2.0"],
         "classify-kp-huge": ["classify", "kp", "--v", _fix("vlist_span_huge.json"), "--C", "2.0"],
+        "classify-kp-mixed": ["classify", "kp", "--v", _fix("vlist_span_mixed.json"), "--C", "2.0"],
         "diag-prop21": ["diag", "prop21", "--u", _fix("ulist.json"), "--w", _fix("wlist.json"),
                         "--projection", _fix("projection_small.json"), "--K", "1.2",
                         "--window", "2"],

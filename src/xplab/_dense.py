@@ -8,8 +8,9 @@ indices; the operators of :mod:`xplab.operators` carry one as ``window``
 next to their ``matrix``, and the weights and columns here are laid out
 over it. ``dense_window`` lays a family of sparse vectors out as columns over
 the union of their supports, ``vector_to_col`` and ``col_to_vector`` move one
-vector between the forms, ``unit_columns`` equilibrates columns, and
-``into_range`` scales a search's data so that its power sums stay finite.
+vector between the forms. A search over a span runs on the span's
+``unit_columns``, since scaling a column keeps the span, and one homogeneous
+in its data, an operator norm, on the data ``into_range`` keeps in range.
 Every seeded stream of the package is built here, by ``_child``, and the
 seeded start columns of the estimators by ``_sample_columns``. So is the
 coordinate search that polishes them: it searches over affine images c + M X
@@ -43,7 +44,7 @@ def window_weights(space: WeightedSpace, idx: np.ndarray) -> np.ndarray:
 
 
 def into_range(data, X: np.ndarray, h, rounds: int, p: float) -> list:
-    """A search's data (its c and M) times 2^-k, so that its power sums stay in range.
+    """A homogeneous search's data (c and M) times 2^-k, so that its power sums stay in range.
 
     From start columns X of d rows, in ``rounds`` rounds of steps at most h,
     the search forms images c + M x whose entries are at most top growth,
@@ -64,15 +65,17 @@ def into_range(data, X: np.ndarray, h, rounds: int, p: float) -> list:
 
 
 def unit_columns(X: np.ndarray) -> np.ndarray:
-    """X with each column scaled by a power of two, so that its norm is in range, then to norm 1."""
+    """X with each column scaled by a power of two, so that its norm is in range, then to norm 1.
+
+    A zero column stays zero; a column times 2^k gives the same unit column, bit for bit."""
     X = np.ldexp(X, -np.frexp(np.max(np.abs(X), axis=0))[1])
-    return X / np.linalg.norm(X, axis=0)
+    return X / np.maximum(np.linalg.norm(X, axis=0), 0.5)  # a nonzero column's norm is now >= 1/2
 
 
 def col_norm_p(X: np.ndarray, p: float) -> np.ndarray:
     """Column p-norms, unscaled: they overflow or underflow on their own once
     |x|^p leaves the double range (|x| beyond about 1e77 or 1e-77 at p = 4), so
-    every search brings its data into range through :func:`into_range` first."""
+    every search runs them on :func:`unit_columns` or on :func:`into_range` data."""
     return np.sum(np.abs(X) ** p, axis=0) ** (1.0 / p)
 
 

@@ -23,7 +23,6 @@ from .space import (
     max_ratio,
     norm_2w,
     norm_p,
-    omega,
     ratio,
     restrict,
 )
@@ -83,19 +82,19 @@ class Block:
 def make_rosenthal(space: WeightedSpace, I) -> RosenthalBlock:
     """Extremal block of I; its norm identities are verified at build time.
 
-    norm_2w equals omega(I) ** (1/2), norm_p equals omega(I) ** (1/p) and the
-    ratio equals omega(I) ** ((p-2)/2p), all to 1e-10 relative.
+    With r = max_ratio(I), norm_2w equals r ** (mass_exp/2), norm_p equals
+    r ** coeff_exp and the ratio equals r, all to 1e-10 relative.
     """
     sup = I if isinstance(I, SupportSet) else SupportSet.of(I)
     if len(sup) == 0:
         raise ValueError("extremal block needs a nonempty index set")
     e = space.coeff_exp
     vec = SpVector(space, {n: space.weight(n) ** e for n in sup})
-    mass = omega(space, sup)
+    r = max_ratio(space, sup)
     checks = (
-        (norm_2w(vec), mass**0.5),
-        (norm_p(vec), mass ** (1.0 / space.p)),
-        (ratio(vec), mass**space.ratio_exp),
+        (norm_2w(vec), r ** (space.mass_exp / 2.0)),
+        (norm_p(vec), r**e),
+        (ratio(vec), r),
     )
     for got, want in checks:
         if not holds(abs(got - want), "<=", 1e-10 * abs(want)):
@@ -179,7 +178,7 @@ def functional_apply(b: Block | RosenthalBlock, x: SpVector, *, form: str = "res
     denom = norm_2w(core)
     if denom == 0.0:
         raise ValueError("functional undefined: the normalizing part has zero mass")
-    return inner(core, x) / denom**2
+    return inner(core, x) / denom / denom
 
 
 @dataclass(frozen=True)

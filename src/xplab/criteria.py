@@ -271,6 +271,9 @@ def check_proof_bounds(
     p = space.p
     E = extract_Ei(y, F, rho)
     Fset = F if isinstance(F, SupportSet) else SupportSet.of(F)
+    mass = omega(space, E)
+    if mass == math.inf:
+        raise ValueError(f"the weight mass of E = {list(E.indices)} is past the double range")
     yE = restrict(y, E)
     yE2 = norm_2w(yE)
     y2 = norm_2w(y)
@@ -284,7 +287,7 @@ def check_proof_bounds(
     checks = (
         check(
             "E_mass_ceiling",
-            omega(space, E),
+            mass,
             "<=",
             rho**-2.0 * delta ** (-4.0 / (p - 2.0)) * yE2 ** (2.0 * p / (p - 2.0)),
             applicable=b_holds,
@@ -303,7 +306,7 @@ def check_proof_bounds(
     )
     data = {
         "E": list(E.indices),
-        "omega_E": omega(space, E),
+        "omega_E": mass,
         "yE_2w": yE2,
         "y_2w": y2,
         "delta_share_holds": bool(b_holds),
@@ -559,7 +562,8 @@ def defect_of(
     if not Y:
         raise ValueError("defect needs a nonempty span")
     space, _, B, w = dense_window((*Y, x), mixed="span vectors live in a different space")
-    B, xcol = B[:, :-1], B[:, -1]
+    # the relative distance is homogeneous in x and sees Y only through its span
+    B, xcol = _dense.unit_columns(B[:, :-1]), _dense.unit_columns(B[:, -1:])[:, 0]
     p = space.p
     k = B.shape[1]
 
@@ -574,13 +578,10 @@ def defect_of(
 
     scale = max(float(np.max(np.abs(lsq))), 1.0)
     h0 = 0.25 * scale
-    rounds = 40
     step = np.full(A0.shape[1], h0)
-    # the relative distance is homogeneous in (x, B), and its denominator is the x searched
-    xcol, B = _dense.into_range([xcol, B], A0, step, rounds, p)
     denom = float(col_norm(xcol[:, None], w, p, "xp")[0])
     _, f = _dense._coordinate_search(
-        cost, [(-B, xcol)], w, p, A0, step, 1e-12 * max(h0, 1.0), rounds, np.less
+        cost, [(-B, xcol)], w, p, A0, step, 1e-12 * max(h0, 1.0), 40, np.less
     )
     return float(np.min(f)) / denom
 

@@ -372,10 +372,10 @@ def run_projection_bound(
         bound = prop12_bound(sysm)
         X = rng.standard_normal((len(idx), int(samples)))
         X *= rng.random(X.shape) < rng.uniform(0.2, 1.0)
-        keep = col_norm(X, w, sp.p, "xp") > 1e-12
-        X = X[:, keep]
-        PX = M @ X
         nx = col_norm(X, w, sp.p, "xp")
+        keep = nx > 1e-12
+        X, nx = X[:, keep], nx[keep]
+        PX = M @ X
         npx = col_norm(PX, w, sp.p, "xp")
         worst_quot = max(worst_quot, float(np.max(npx / nx)) / bound)
         resid = col_norm(M @ PX - PX, w, sp.p, "xp") / np.maximum(npx, 1e-12)

@@ -139,14 +139,15 @@ class BlockProjection:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        # column j of Z is block j's vector, column j of F its functional
+        # column j of Z is block j's vector, column j of F its functional: the
+        # core times u twice, for u the weights over the core's 2w norm
         idx = self.window
         _check_cap(len(idx))
         blocks = self.system.blocks
         cores = [b.core() for b in blocks]
         Z = vectors_to_cols([b.vector for b in blocks], idx)
-        F = vectors_to_cols(cores, idx) * window_weights(self.space, idx)[:, None] ** 2
-        F /= np.array([norm_2w(core) ** 2 for core in cores])
+        u = window_weights(self.space, idx)[:, None] / np.array([norm_2w(core) for core in cores])
+        F = vectors_to_cols(cores, idx) * u * u
         return Z @ F.T
 
     def apply(self, x: SpVector) -> SpVector:
@@ -383,7 +384,8 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
                                          "span vectors live in different spaces")
     if not B.any(axis=0).all():
         raise ValueError("span vectors must be nonzero")
-    s = np.linalg.svd(_dense.unit_columns(B), compute_uv=False)
+    B = _dense.unit_columns(B)  # the same span, searched through unit columns
+    s = np.linalg.svd(B, compute_uv=False)
     if s[-1] < 1e-10 * s[0]:
         raise ValueError("span vectors are linearly dependent")
     p = space.p
@@ -392,9 +394,7 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
     if budget > 0:
         starts.append(_dense._sample_columns(k, int(budget), seed))
     A0 = np.concatenate(starts, axis=1)
-    rounds = 20
     h, stop = _steps(A0)
-    (B,) = _dense.into_range([B], A0, h, rounds, p)  # the ratio is homogeneous in B
 
     def score(Sp, S2):
         den = Sp[0] ** (1 / p)
@@ -402,7 +402,7 @@ def _extremize_ratio(V, sense: int, budget: int, seed: int) -> float:
         # dead columns must lose regardless of search direction
         return np.where(den > 0, vals, -np.inf)
 
-    _, fvals = _dense._coordinate_search(score, [(B, 0)], w, p, A0, h, stop, rounds)
+    _, fvals = _dense._coordinate_search(score, [(B, 0)], w, p, A0, h, stop, 20)
     best = float(np.max(fvals))
     if not np.isfinite(best):
         raise ValueError("ratio extremum search degenerated")

@@ -4,15 +4,16 @@ Deliberately a different algorithm from the seeded estimators in
 :mod:`xplab.operators`: directions come from an exhaustive grid on the cube
 surface (every direction in R^d meets it projectively) with a few rounds of
 local refinement. Usable up to dimension 6; meant as the ground truth the
-estimators are compared against, never as the production path. Each oracle
-searches its data as :func:`xplab._dense.into_range` scales them.
+estimators are compared against, never as the production path. They search
+the unit columns of a span, as the estimators do, and data that a search is
+homogeneous in as :func:`xplab._dense.into_range` scales them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._dense import col_norm, dense_window, into_range
+from ._dense import col_norm, dense_window, into_range, unit_columns
 
 __all__ = ["brute_opnorm", "brute_ratio_extremum", "brute_min_distance"]
 
@@ -91,7 +92,7 @@ def brute_ratio_extremum(V, sense: int, m: int = 13, refine_rounds: int = 4) -> 
     if k > MAX_ORACLE_DIM:
         raise ValueError(f"oracle limited to span dimension {MAX_ORACLE_DIM}")
     grid, r = _face_grid(k, m), 2.0 / max(m - 1, 1)
-    (B,) = into_range([B], grid, r, refine_rounds, p)  # the ratio is homogeneous in B
+    B = unit_columns(B)  # the same span
 
     def objective(Ac):
         Y = B @ Ac
@@ -106,26 +107,28 @@ def brute_ratio_extremum(V, sense: int, m: int = 13, refine_rounds: int = 4) -> 
 def brute_min_distance(x, Y, m: int = 9, refine_rounds: int = 5) -> float:
     """Grid-search min over coefficients a of xp_norm(x - sum a_j y_j).
 
-    The search box comes from a data-independent bound: any minimizer
-    satisfies |a|_2 <= R = 2 xp_norm(x) / sigma_min(W B). R is scale-free and
-    is taken on (B, x) in range for the unit box, the search on (B, x) in range
-    for the box of radius R, whose distance is scaled back.
+    The search runs on the unit columns of Y and on x times 2^-e, which brings
+    its peak to [1/2, 1), and the distance is scaled back. Its box comes from a
+    data-independent bound: any minimizer satisfies |a|_2 <= R = 2 xp_norm(x)
+    / sigma_min(W B), and the box of radius R is searched on data in range for it.
     """
     space, _, D, w = dense_window((*Y, x))
     p = space.p
     k = D.shape[1] - 1
     if k > MAX_ORACLE_DIM:
         raise ValueError(f"oracle limited to span dimension {MAX_ORACLE_DIM}")
-    grid, r = _cube_grid(k, m), 2.0 / max(m - 1, 1)
-    S, _ = _in_range(D, grid, r, refine_rounds, p)
-    xnorm = float(col_norm(S[:, -1:], w, p, "xp")[0])
-    smin = float(np.linalg.svd(S[:, :-1] * w[:, None], compute_uv=False)[-1])
+    e = int(np.frexp(np.max(np.abs(D[:, -1])))[1])
+    D = np.column_stack([unit_columns(D[:, :-1]), np.ldexp(D[:, -1], -e)])
+    xnorm = float(col_norm(D[:, -1:], w, p, "xp")[0])
+    smin = float(np.linalg.svd(D[:, :-1] * w[:, None], compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("distance oracle needs independent span vectors")
     R = 2.0 * xnorm / smin
-    S, back = _in_range(D, grid * R, r * R, refine_rounds, p)
+    grid, r = _cube_grid(k, m) * R, 2.0 / max(m - 1, 1) * R
+    S, back = _in_range(D, grid, r, refine_rounds, p)
 
     def negated_cost(Ac):
         return -col_norm(S[:, -1:] - S[:, :-1] @ Ac, w, p, "xp")
 
-    return -back * _extremize(negated_cost, grid * R, r * R, refine_rounds, keep_zero=True)
+    dist = -back * _extremize(negated_cost, grid, r, refine_rounds, keep_zero=True)
+    return float(np.ldexp(dist, e))

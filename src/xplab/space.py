@@ -52,9 +52,6 @@ NORM_TOL = 1e-9
 
 _SMALLEST_NORMAL = sys.float_info.min
 
-# Below this, weight powers are accumulated in log space; see omega().
-TINY_WEIGHT = 1e-100
-
 
 def holds(lhs, op, rhs):
     """The lab's one verdict rule: lhs op rhs, loosened by SLACK * max(|lhs|, |rhs|).
@@ -331,16 +328,29 @@ def from_pairs(space: WeightedSpace, pairs: Iterable[tuple[int, float]]) -> SpVe
     return SpVector(space, out)
 
 
-# The two norms below take the plain power sum whenever it lands in the
-# normal double range. Only a sum that overflows or falls below the smallest
-# normal double (which depends on the exponent) rescales its terms.
+# Every power sum of the lab goes through _root_sum: the two norms, and
+# max_ratio, the l_q norm of the weights on E at q = mass_exp. The plain sum is
+# taken whenever it lands in the normal double range. Only a sum that overflows
+# or falls below the smallest normal double rescales its terms.
 
 
-def _rescaled_root(terms: list[float], q: float) -> float:
-    """(sum of |t| ** q) ** (1/q) with the terms scaled by the largest |t|."""
-    m = max(abs(t) for t in terms)
-    s = math.fsum((abs(t) / m) ** q for t in terms)
-    out = m * (math.sqrt(s) if q == 2.0 else s ** (1.0 / q))
+def _root_sum(terms, q: float, root: float) -> float:
+    """(sum of |t| ** q) ** root for root = 1/q; OverflowError past the double range.
+
+    Past the normal range the terms, which must be iterable twice, are first
+    divided by the largest |t|, which brings the sum into [1, len(terms)].
+    """
+    m = 1.0
+    try:
+        s = math.fsum(abs(t) ** q for t in terms)
+    except OverflowError:
+        s = math.inf
+    if not _SMALLEST_NORMAL <= s < math.inf:
+        m = max(map(abs, terms), default=0.0)
+        if m == 0.0:
+            return 0.0
+        s = math.fsum((abs(t) / m) ** q for t in terms)
+    out = m * (math.sqrt(s) if q == 2.0 else s**root)
     if not math.isfinite(out):
         raise OverflowError("norm exceeds the double range")
     return out
@@ -348,30 +358,14 @@ def _rescaled_root(terms: list[float], q: float) -> float:
 
 def norm_p(x: SpVector) -> float:
     """Plain p-norm of the coefficients; OverflowError past the double range."""
-    if not x.entries:
-        return 0.0
     p = x.space.p
-    try:
-        s = math.fsum(abs(v) ** p for v in x.entries.values())
-    except OverflowError:
-        s = math.inf
-    if _SMALLEST_NORMAL <= s < math.inf:
-        return s ** (1.0 / p)
-    return _rescaled_root(list(x.entries.values()), p)
+    return _root_sum(x.entries.values(), p, 1.0 / p)
 
 
 def norm_2w(x: SpVector) -> float:
     """Weighted 2-norm (coefficients times weights); OverflowError past the double range."""
-    if not x.entries:
-        return 0.0
     w = x.space.weights
-    try:
-        s = math.fsum((v * w[i - 1]) ** 2 for i, v in x.entries.items())
-    except OverflowError:
-        s = math.inf
-    if _SMALLEST_NORMAL <= s < math.inf:
-        return math.sqrt(s)
-    return _rescaled_root([v * w[i - 1] for i, v in x.entries.items()], 2.0)
+    return _root_sum([v * w[i - 1] for i, v in x.entries.items()], 2.0, 0.5)
 
 
 def xp_norm(x: SpVector) -> float:
@@ -390,34 +384,33 @@ def ratio(x: SpVector) -> float:
 def omega(space: WeightedSpace, E) -> float:
     """Weight mass of an index set: sum of w_n ** (2p/(p-2)) over E.
 
-    Indices must lie in 1..dim. Weights below 1e-100 are accumulated in log
-    space so that subnormal per-term powers do not lose the whole sum.
+    Indices must lie in 1..dim. A mass past the double range is inf; one whose
+    terms underflow loses them. Scale-free code uses :func:`max_ratio`, its root.
     """
-    idx = _as_indices(E)
-    if not idx:
-        return 0.0
     q = space.mass_exp
-    ws = [space.weight(n) for n in idx]
-    if min(ws) < TINY_WEIGHT:
-        logs = np.array([q * math.log(w) for w in ws])
-        m = float(np.max(logs))
-        return float(math.exp(m) * np.sum(np.exp(logs - m)))
-    return math.fsum(w**q for w in ws)
+    try:
+        return math.fsum(space.weight(n) ** q for n in _as_indices(E))
+    except OverflowError:
+        return math.inf
 
 
 def max_ratio(space: WeightedSpace, E) -> float:
-    """Largest 2-vs-p ratio achievable by vectors supported on E."""
-    return omega(space, E) ** space.ratio_exp
+    """Largest 2-vs-p ratio achievable by vectors supported on E: omega(E) ** ((p-2)/2p).
+
+    It is the l_q norm of the weights on E at q = mass_exp, computed as the
+    norms are, so it stays finite and nonzero wherever the weights are.
+    """
+    return _root_sum([space.weight(n) for n in _as_indices(E)], space.mass_exp, space.ratio_exp)
 
 
 def inner(x: SpVector, y: SpVector) -> float:
-    """Weighted inner product: sum of x_n * y_n * w_n**2."""
+    """Weighted inner product: sum of (w_n x_n) (w_n y_n)."""
     _same_space(x, y)
     a, b = x.entries, y.entries
     if len(b) < len(a):
         a, b = b, a
     w = x.space.weights
-    return math.fsum(v * b[i] * w[i - 1] ** 2 for i, v in a.items() if i in b)
+    return math.fsum((v * w[i - 1]) * (b[i] * w[i - 1]) for i, v in a.items() if i in b)
 
 
 def restrict(x: SpVector, E) -> SpVector:

@@ -255,6 +255,31 @@ def test_gen_thm13_infeasible_is_usage_error(fix, out):
     assert code == 1
 
 
+def test_a_weight_mass_past_the_double_range(tmp_path, out, capsys):
+    # at p = 4 the mass of index 3 is (1e150)^4: the greedy witness scan skips
+    # it as it skips any index that overshoots, and proof-bounds refuses an
+    # E-set that holds it, naming that mass
+    weights = [0.3, 0.2, 1e150, 0.1]
+    space, y = str(tmp_path / "space.json"), str(tmp_path / "y.json")
+    with open(space, "w") as fh:
+        json.dump({"p": 4.0, "weights": weights}, fh)
+    with open(y, "w") as fh:
+        json.dump({"p": 4.0, "weights": weights, "entries": [[3, 1e-150]]}, fh)
+    assert run(["gen", "thm13", "--space", space, "--eps", "0.2", "--delta", "0.5", "--c", "1",
+                "--count", "2", "--out", out]) == 0
+    witnesses = _read(out)["data"]["witnesses"]
+    assert [w["E"] for w in witnesses] == [[2], [4]]
+    for k, wit in enumerate(witnesses):
+        path = str(tmp_path / f"w{k}.json")
+        with open(path, "w") as fh:
+            json.dump(wit, fh)
+        assert run(["check", "thm13", "--witness", path, "--out", out]) == 0
+    capsys.readouterr()
+    argv = ["check", "proof-bounds", "--y", y, "--F", "3", "--rho", "1e-300", "--delta", "0.5"]
+    assert run(argv) == 1
+    assert "weight mass of E = [3]" in _single_error(capsys)
+
+
 def test_classify(fix, out):
     assert run(["classify", "kp", "--v", fix("vlist_span.json"), "--C", "2.0", "--out", out]) == 0
     assert _read(out)["data"]["label"] in ("ell2-like", "ellp-like", "mixed")
@@ -584,12 +609,16 @@ def test_bad_weights_are_usage_errors(weights, tmp_path, capsys):
     assert "weights" in _single_error(capsys)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-90])
+@pytest.mark.parametrize("scale", [
+    1e200, 1e-90, pytest.param((2.0**-600, 2.0**600), id="2^-600,2^600"),
+])
 def test_classify_kp_is_scale_free(fix, scale, tmp_path, out):
+    # each vector times its own scale; powers of two leave the searched unit columns as they were
     doc = _read(fix("vlist_span.json"))
     base = str(tmp_path / "base.json")
     assert run(["classify", "kp", "--v", fix("vlist_span.json"), "--C", "2.0", "--out", base]) == 0
-    doc["vectors"] = [[[i, v * scale] for i, v in vec] for vec in doc["vectors"]]
+    scales = scale if isinstance(scale, tuple) else (scale,) * len(doc["vectors"])
+    doc["vectors"] = [[[i, v * s] for i, v in vec] for vec, s in zip(doc["vectors"], scales)]
     path = str(tmp_path / "scaled.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -598,3 +627,5 @@ def test_classify_kp_is_scale_free(fix, scale, tmp_path, out):
     assert got["label"] == want["label"]
     for key in ("h_inf", "r_sup_tail"):
         assert got[key] == pytest.approx(want[key], rel=1e-12)
+    if isinstance(scale, tuple):
+        assert got == want

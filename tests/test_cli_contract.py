@@ -236,6 +236,16 @@ def test_rosenthal_blocks_pass_blocks_check(scratch, p, weights, picks):
         assert _run(["blocks", "check", "--block", block, "--space", space]) == 0, (weights, I)
 
 
+def test_rosenthal_block_on_a_heavy_weight_passes_blocks_check(scratch):
+    # at p = 4 the weight mass of the first weight, 1e150, is past the double
+    # range, but every coefficient and norm of its extremal block is in range
+    space = _fix("space_heavy.json")
+    data = _report_data(scratch, ["blocks", "rosenthal", "--space", space, "--I", "1,2,3"])
+    assert data is not None
+    block = _dump(scratch, "block.json", data["block"])
+    assert _run(["blocks", "check", "--block", block, "--space", space]) == 0
+
+
 @settings(max_examples=20, **SETTINGS)
 @given(p=st.sampled_from([3.0, 4.0, 6.0]), w=st.sampled_from([0.05, 0.1]),
        D=st.sampled_from([16, 64]), eps=st.sampled_from([0.2, 0.3, 0.4]),

@@ -278,6 +278,15 @@ def test_defect_never_exceeds_one():
         assert defect_of(x, Y, seed=1) <= 1.0 + 1e-12
 
 
+def test_defect_ignores_a_zero_span_vector():
+    # a zero vector adds nothing to the span, and its unit column stays zero
+    sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7, 0.9))
+    Y = [SpVector(sp, {1: 1.0, 5: 0.2}), SpVector(sp, {2: 1.0, 3: -0.5})]
+    x = SpVector(sp, {1: 0.3, 2: 1.0, 4: 0.7, 5: -0.2})
+    assert defect_of(x, [*Y, SpVector(sp, {})], seed=0) == pytest.approx(defect_of(x, Y, seed=0),
+                                                                        rel=1e-9)
+
+
 def test_defect_experiment_shape():
     sp = WeightedSpace(4.0, tuple([0.8] * 10))
     Y = [make_rosenthal(sp, [1, 2]).vector]
@@ -288,12 +297,20 @@ def test_defect_experiment_shape():
         assert 0.0 <= out["worst_defect"] <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-90])
+@pytest.mark.parametrize("scale", [
+    1e200, 1e-90,
+    *(pytest.param((2.0**500, math.ldexp(1.0, k), math.ldexp(1.0, -k)), id=f"2^500,2^{k},2^{-k}")
+      for k in (-600, -300, 300, 600)),
+])
 def test_defect_is_scale_free(scale):
-    # at 1e200 the power sums of x at p = 4 overflow and at 1e-90 they
-    # underflow, so the search must run on a rescaled copy of x and Y
+    # at 1e200 the power sums of x at p = 4 overflow and at 1e-90 they underflow.
+    # The search runs on x scaled to unit norm and on the unit columns of Y, so
+    # x and each vector of Y times its own power of two give the same defect, bit for bit.
     sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7, 0.9))
     Y = [SpVector(sp, {1: 1.0}), SpVector(sp, {2: 1.0, 3: -0.5})]
     x = SpVector(sp, {1: 0.3, 2: 1.0, 4: 0.7, 5: -0.2})
-    at = {s: defect_of(x * s, [y * s for y in Y], seed=0) for s in (1.0, scale)}
-    assert at[scale] == pytest.approx(at[1.0], rel=1e-12)
+    sx, *sy = scale if isinstance(scale, tuple) else (scale,) * 3
+    at = defect_of(x * sx, [y * s for y, s in zip(Y, sy)], seed=0)
+    if isinstance(scale, tuple):
+        assert at == defect_of(x, Y, seed=0)
+    assert at == pytest.approx(defect_of(x, Y, seed=0), rel=1e-12)

@@ -330,12 +330,21 @@ def test_dense_window_cap_comes_before_the_matrix():
         DenseOperator(sp, np.zeros((d, d)))
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-90])
+@pytest.mark.parametrize("scale", [
+    1e200, 1e-90,
+    *(pytest.param((math.ldexp(1.0, k), math.ldexp(1.0, -k)), id=f"2^{k},2^{-k}")
+      for k in (-600, -300, 300, 600)),
+])
 @pytest.mark.parametrize("estimate", [estimate_h_inf, estimate_r_sup])
 def test_span_extrema_are_scale_free(estimate, scale):
     # at these scales every power sum of a span vector at p = 4 overflows or
-    # underflows, so the search must run on a rescaled copy of the span
+    # underflows. The search runs on the unit columns of the span, and a vector
+    # times its own power of two gives the same unit column, bit for bit.
     sp = WeightedSpace(4.0, (1.0, 0.5, 0.8, 0.7))
     span = [{1: 1.0}, {2: 1.0, 3: -0.5}]
-    at = {s: estimate([SpVector(sp, v) * s for v in span], budget=64, seed=0) for s in (1.0, scale)}
-    assert at[scale] == pytest.approx(at[1.0], rel=1e-12)
+    scales = scale if isinstance(scale, tuple) else (scale, scale)
+    base = estimate([SpVector(sp, v) for v in span], budget=64, seed=0)
+    at = estimate([SpVector(sp, v) * s for v, s in zip(span, scales)], budget=64, seed=0)
+    if isinstance(scale, tuple):
+        assert at == base
+    assert at == pytest.approx(base, rel=1e-12)

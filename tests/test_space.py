@@ -68,6 +68,30 @@ def test_inner_uses_squared_weights(pair_space, x_pair):
     assert inner(x_pair, e2) == pytest.approx(0.25, rel=1e-15)
 
 
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_weighted_values_are_scale_free(k):
+    # weights times 2^k and vectors times 2^-k: w^2 and w^4 leave the double
+    # range, while every weighted value w x stays as it was, bit for bit
+    w, x, y = (1.0, 0.5, 0.8), {1: 1.5, 2: -0.25, 3: 2.0}, {1: 0.5, 3: -1.0}
+    sp, spk = WeightedSpace(4.0, w), WeightedSpace(4.0, tuple(math.ldexp(t, k) for t in w))
+    s = math.ldexp(1.0, -k)
+    xk, yk = SpVector(spk, x) * s, SpVector(spk, y) * s
+    assert inner(xk, yk) == inner(SpVector(sp, x), SpVector(sp, y))
+    assert norm_2w(xk) == norm_2w(SpVector(sp, x))
+    assert max_ratio(spk, [1, 2, 3]) == pytest.approx(math.ldexp(max_ratio(sp, [1, 2, 3]), k),
+                                                      rel=1e-15)
+
+
+def test_weight_mass_past_the_double_range():
+    # at p = 4 the mass w^4 of 1e150 overflows and that of 1e-100 underflows;
+    # their root, max_ratio, is the l_4 norm of the weights and stays in range
+    sp = WeightedSpace(4.0, (1e150, 1.0, 1e-100))
+    assert omega(sp, [1, 2]) == math.inf
+    assert omega(sp, [3]) == 0.0
+    assert max_ratio(sp, [1, 2]) == 1e150
+    assert max_ratio(sp, [3]) == pytest.approx(1e-100, rel=1e-15)
+
+
 def test_restrict_head_tail(pair_space):
     x = SpVector(pair_space, {1: 1.0, 2: 2.0})
     assert head_proj(x, 1).entries == {1: 1.0}
